@@ -39,11 +39,17 @@ FixedPointCodec::resolution() const
 uint16_t
 FixedPointCodec::encode(double v) const
 {
-    const double scaled = v / resolution();
-    const int32_t max_raw = (1 << (bits() - 1)) - 1;
-    const int32_t min_raw = -(1 << (bits() - 1));
-    auto raw = static_cast<int32_t>(std::lround(scaled));
-    raw = std::clamp(raw, min_raw, max_raw);
+    // NaN has no side to saturate toward: it encodes as 0.
+    if (std::isnan(v))
+        return 0;
+    const double max_raw = (1 << (bits() - 1)) - 1;
+    const double min_raw = -(1 << (bits() - 1));
+    // Saturate in the double domain, before rounding and narrowing:
+    // an out-of-range value would otherwise overflow the integer
+    // conversion and wrap to the opposite rail. ±inf land on the
+    // rails here too.
+    const double scaled = std::clamp(v / resolution(), min_raw, max_raw);
+    const auto raw = static_cast<int32_t>(std::lround(scaled));
     // Two's complement in the low `bits()` bits.
     return static_cast<uint16_t>(raw & ((1 << bits()) - 1));
 }

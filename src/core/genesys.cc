@@ -162,7 +162,16 @@ System::stepGeneration()
             return fits;
         };
 
-    const bool done = population_->stepBatch(batch_fitness);
+    // Pipeline: reproduction hands each genome of generation gen+1 to
+    // the engine as soon as it is bred, and the pool's workers
+    // evaluate it with gen+1's seeds while the caller keeps breeding
+    // and then re-speciates. The next stepGeneration's
+    // evaluateGeneration collects those results.
+    const bool done = population_->stepBatch(
+        batch_fitness,
+        engine_->streamSink(neatCfg_,
+                            exec::EvalEngine::sharedEpisodeSeeds(deriveSeed(
+                                cfg_.seed, static_cast<uint64_t>(gen + 1)))));
     solved_ = done;
 
     report.algo = population_->history().back();
@@ -217,7 +226,7 @@ System::stepGeneration()
         report.phases.barrierIdleFraction = std::clamp(
             1.0 - busy_seconds / worker_seconds, 0.0, 1.0);
     }
-    report.waveStatsValid = engine_->usesHeterogeneousWaves();
+    report.waveStatsValid = report.batches.laneCount > 0;
 
     if (auto *reg = obs::MetricsRegistry::active()) {
         reg->counter("generations").add(1);
@@ -322,7 +331,10 @@ System::resumeFrom(const std::string &path)
                  nn::numericsTierName(snap.numericsTier),
                  nn::numericsTierName(numericsTier_));
 
-    // Validated end to end — apply atomically.
+    // Validated end to end — apply atomically. Genomes streamed for
+    // the replaced population are dropped first: they are about to be
+    // freed, and their seeds belong to the abandoned timeline.
+    engine_->discardStream();
     population_->restore(std::move(snap.population));
     if (auto *reg = obs::MetricsRegistry::active())
         reg->restoreCounters(snap.counters);

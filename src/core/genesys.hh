@@ -107,14 +107,33 @@ struct SystemConfig
  * from any hot path), independent of whether telemetry sinks are
  * installed. The timing fields are intentionally NOT folded into the
  * golden digests: they are host-machine noise, not algorithm state.
+ *
+ * Generations are pipelined: while the caller breeds generation n+1
+ * (reproduce) and re-speciates it, the pool's other workers already
+ * evaluate each bred genome. So the evaluation of generation n+1
+ * mostly runs inside generation n's reproduce/speciate interval, and
+ * generation n+1's evaluate phase only collects what is left.
  */
 struct PhaseBreakdown
 {
-    /** Batched fitness evaluation (exec::EvalEngine). */
+    /**
+     * Collecting this generation's fitness (exec::EvalEngine::
+     * evaluateGeneration): joining the genomes streamed during the
+     * previous generation's breeding that are still pending, plus
+     * evaluating any genome that was never streamed (generation 0,
+     * the first generation after a resume, an extinction restart).
+     * Only this part of evaluation does not overlap breeding.
+     */
     double evaluateSeconds = 0.0;
-    /** Breeding the next generation (serial barrier phase). */
+    /**
+     * Breeding the next generation on the caller thread, while the
+     * other workers evaluate the genomes it has bred so far.
+     */
     double reproduceSeconds = 0.0;
-    /** Re-speciating the bred population (serial barrier phase). */
+    /**
+     * Re-speciating the bred population on the caller thread (also
+     * overlapped by streamed evaluation).
+     */
     double speciateSeconds = 0.0;
     /** Workload accounting + SoC simulation. */
     double reportSeconds = 0.0;
@@ -123,15 +142,21 @@ struct PhaseBreakdown
     /**
      * CPU seconds spent compiling plans this generation, summed
      * across workers (can exceed wallSeconds on many threads).
+     * Streamed genomes compile during breeding, so this counts the
+     * next generation's compiles done so far.
      */
     double planCompileCpuSeconds = 0.0;
     /**
      * Fraction of the generation's worker-seconds the evaluation
      * lanes spent *outside* evaluation bodies — the measured
-     * generation-barrier idle cost (ROADMAP item 1 baseline):
+     * generation-barrier idle cost:
      * 1 - busyNsDelta / (wallSeconds * numThreads), clamped to
-     * [0, 1]. Near 0 means evaluation dominates; it grows as the
-     * serial reproduce/speciate/report phases eat the generation.
+     * [0, 1]. Busy time is whatever evaluation ran inside this
+     * generation's wall interval — its own collect and the next
+     * generation's streamed genomes alike. Under the pipeline, what
+     * remains idle is mostly the caller's own breeding time (one
+     * lane) plus workers waiting for the breeder to publish the next
+     * child; near 0 means evaluation saturates every lane.
      */
     double barrierIdleFraction = 0.0;
 };
@@ -160,8 +185,10 @@ struct GenerationReport
      * True iff the generation ran through the plan-heterogeneous
      * wave scheduler, i.e. the wave* counters in `batches` (and
      * laneOccupancy()) are live measurements. In serial and
-     * per-genome-batch modes those counters are silently zero — this
-     * flag distinguishes "measured zero" from "path not taken".
+     * per-genome-batch modes — and for streamed generations, whose
+     * genomes always take the per-genome path — those counters are
+     * silently zero; this flag distinguishes "measured zero" from
+     * "path not taken".
      */
     bool waveStatsValid = false;
     /** Phase wall-clock breakdown of this generation. */

@@ -207,74 +207,223 @@ EvalEngine::runParallel(std::size_t count,
         std::rethrow_exception(first);
 }
 
+EvalEngine::~EvalEngine()
+{
+    // Members die in reverse order — scratch and environment shards
+    // before the pool joins its threads — so no streamed genome may
+    // still be running once this body returns.
+    discardStream();
+}
+
+void
+EvalEngine::openJob(const neat::NeatConfig &cfg, const SeedFn &seedFor,
+                    std::size_t capacity)
+{
+    jobCfg_ = cfg;
+    jobSeeds_ = seedFor;
+    jobGenomes_.assign(capacity, neat::GenomeHandle{});
+    jobResults_.assign(capacity, GenomeEvalResult{});
+    jobSubmitted_ = 0;
+    pool_.beginJob(
+        [this](std::size_t item, int worker) { evaluateOne(item, worker); });
+}
+
+void
+EvalEngine::submit(std::span<const neat::GenomeHandle> genomes)
+{
+    GENESYS_ASSERT(jobSubmitted_ + genomes.size() <= jobGenomes_.size(),
+                   "eval job over capacity: "
+                       << jobSubmitted_ + genomes.size() << " > "
+                       << jobGenomes_.size() << " genomes");
+    // Fill the slots before publishing them: a worker may claim an
+    // item the moment it is published.
+    for (const neat::GenomeHandle &h : genomes)
+        jobGenomes_[jobSubmitted_++] = h;
+    pool_.publish(genomes.size());
+}
+
+std::vector<GenomeEvalResult>
+EvalEngine::joinJob()
+{
+    pool_.join();
+    streamOpen_ = false;
+    jobResults_.resize(jobSubmitted_);
+    std::vector<GenomeEvalResult> results = std::move(jobResults_);
+    jobResults_.clear();
+    std::exception_ptr error;
+    {
+        std::lock_guard<std::mutex> lock(jobErrorMutex_);
+        std::swap(error, jobError_);
+    }
+    if (error)
+        std::rethrow_exception(error);
+    return results;
+}
+
+void
+EvalEngine::evaluateOne(std::size_t item, int worker)
+{
+    if (discarding_.load(std::memory_order_relaxed))
+        return;
+    // An exception escaping a pool worker would terminate the
+    // process; keep the first one for joinJob to rethrow on the
+    // caller. The job's other genomes still run.
+    try {
+        // Each item touches only its own result slot and the
+        // worker's private environment shard, so the hot loop is
+        // lock-free (the plan cache takes a brief lock per genome,
+        // once, outside the episode loop). Each genome is compiled
+        // exactly once and the resulting immutable plan is shared
+        // read-only by all of its episodes and by workload
+        // accounting. A genome's episodes run in BSP lockstep waves
+        // across the worker's episode lanes (batched kernel) unless
+        // batching is disabled — both paths are bit-identical, per
+        // episode and in aggregate.
+        const neat::GenomeHandle &h = jobGenomes_[item];
+        obs::Span span("eval.genome", "evaluate", h.key);
+        std::vector<uint64_t> seeds(static_cast<std::size_t>(cfg_.episodes));
+        for (int e = 0; e < cfg_.episodes; ++e)
+            seeds[static_cast<std::size_t>(e)] = jobSeeds_(h.key, e);
+
+        GenomeEvalResult &out = jobResults_[item];
+        out.genomeKey = h.key;
+        out.plan = planCache_.acquire(h.key, *h.genome, jobCfg_,
+                                      cfg_.numericsTier);
+        if (cfg_.batchEpisodes) {
+            out.detail = env::evaluateBatched(
+                *out.plan, seeds, envs_.shard(worker),
+                batchScratch_[static_cast<std::size_t>(worker)]);
+        } else {
+            env::EpisodeRunner runner(envs_.at(worker), seeds.front(),
+                                      cfg_.episodes);
+            out.detail = runner.evaluateDetailed(*out.plan, seeds);
+        }
+    } catch (...) {
+        std::lock_guard<std::mutex> lock(jobErrorMutex_);
+        if (!jobError_)
+            jobError_ = std::current_exception();
+    }
+}
+
+neat::GenomeSink
+EvalEngine::streamSink(const neat::NeatConfig &cfg, SeedFn seedFor)
+{
+    neat::GenomeSink sink;
+    sink.begin = [this, cfg, seedFor = std::move(seedFor)](
+                     const std::vector<int> &eliteKeys) {
+        GENESYS_ASSERT(!pool_.jobOpen(),
+                       "stream begun while another job is open");
+        // Drop the previous generation's plans before the first child
+        // compiles: elites keep theirs, and the cache never holds two
+        // generations at once.
+        planCache_.beginGeneration(eliteKeys);
+        openJob(cfg, seedFor, static_cast<std::size_t>(cfg.populationSize));
+        streamOpen_ = true;
+    };
+    sink.genome = [this](const neat::GenomeHandle &h) {
+        GENESYS_ASSERT(streamOpen_, "genome streamed before begin()");
+        submit({&h, 1});
+    };
+    sink.abandon = [this] { discardStream(); };
+    return sink;
+}
+
+void
+EvalEngine::discardStream()
+{
+    if (!streamOpen_)
+        return;
+    discarding_.store(true, std::memory_order_relaxed);
+    try {
+        joinJob();
+    } catch (...) {
+        // A discarded genome's failure has no one to report to.
+    }
+    discarding_.store(false, std::memory_order_relaxed);
+}
+
+void
+EvalEngine::evaluatePerGenome(const std::vector<neat::GenomeHandle> &batch,
+                              const neat::NeatConfig &cfg,
+                              const SeedFn &seedFor,
+                              std::vector<GenomeEvalResult> &results)
+{
+    if (batch.empty())
+        return;
+    openJob(cfg, seedFor, batch.size());
+    submit(batch);
+    results = joinJob();
+}
+
 std::vector<GenomeEvalResult>
 EvalEngine::evaluateGeneration(const std::vector<neat::GenomeHandle> &batch,
                                const neat::NeatConfig &cfg,
                                const SeedFn &seedFor)
 {
-    std::vector<GenomeEvalResult> results(batch.size());
     obs::Span batch_span("eval.batch", "evaluate",
                          static_cast<int64_t>(batch.size()));
 
-    // New generation: keep plans for keys that survived (elites are
-    // copied unchanged under the same key — the paper's "genome stays
-    // resident in the Genome Buffer, no EvE work"), drop the rest so
-    // the cache stays bounded at the batch size. Elite genomes are
-    // therefore never recompiled.
+    // Collect the stream first: the caller thread joins the workers
+    // on whatever streamed genomes are still pending.
+    const bool streamed = streamOpen_;
+    std::vector<GenomeEvalResult> ahead;
+    if (streamed)
+        ahead = joinJob();
+    std::sort(ahead.begin(), ahead.end(),
+              [](const GenomeEvalResult &a, const GenomeEvalResult &b) {
+                  return a.genomeKey < b.genomeKey;
+              });
+
     std::vector<int> batchKeys;
     batchKeys.reserve(batch.size());
     for (const neat::GenomeHandle &h : batch)
         batchKeys.push_back(h.key);
-    planCache_.beginGeneration(batchKeys);
+    if (streamed) {
+        // Pruned to the elites when the stream began; now shed the
+        // plans of streamed genomes this batch does not contain.
+        planCache_.retain(batchKeys);
+    } else {
+        // New generation: keep plans for keys that survived (elites
+        // are copied unchanged under the same key — the paper's
+        // "genome stays resident in the Genome Buffer, no EvE work"),
+        // drop the rest so the cache stays bounded at the batch
+        // size. Elite genomes are therefore never recompiled.
+        planCache_.beginGeneration(batchKeys);
+    }
 
     lastBatch_ = BatchStats{};
 
+    // Take streamed results by key; evaluate the rest now.
+    std::vector<GenomeEvalResult> results(batch.size());
+    std::vector<neat::GenomeHandle> rest;
+    std::vector<std::size_t> restAt;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        const auto it = std::lower_bound(
+            ahead.begin(), ahead.end(), batch[i].key,
+            [](const GenomeEvalResult &r, int key) {
+                return r.genomeKey < key;
+            });
+        if (it != ahead.end() && it->genomeKey == batch[i].key) {
+            results[i] = std::move(*it);
+            ++lastBatch_.streamedGenomes;
+        } else {
+            rest.push_back(batch[i]);
+            restAt.push_back(i);
+        }
+    }
+
+    std::vector<GenomeEvalResult> restResults(rest.size());
     if (usesHeterogeneousWaves()) {
         // Cross-genome wave scheduling: one episode each of many
         // different genomes per lane wave, with lane refill — the
         // occupancy lever when episodes == 1 collapses per-genome
         // batching to a single lane.
-        evaluateWaves(batch, cfg, seedFor, results);
+        evaluateWaves(rest, cfg, seedFor, restResults);
     } else {
-        // Per-genome fan-out. Each item touches only its own results
-        // slot and the worker's private environment shard, so the hot
-        // loop is lock-free (the plan cache takes a brief lock per
-        // genome, once, outside the episode loop); writing by index
-        // makes the output order (and hence every downstream
-        // consumer) independent of work stealing. Each genome is
-        // compiled exactly once and the resulting immutable plan is
-        // shared read-only by all of its episodes and by workload
-        // accounting. A genome's episodes run in BSP lockstep waves
-        // across the worker's episode lanes (batched kernel) unless
-        // batching is disabled — both paths are bit-identical, per
-        // episode and in aggregate.
-        runParallel(
-            batch.size(), [&](std::size_t i, int worker) {
-                const neat::GenomeHandle &h = batch[i];
-                obs::Span span("eval.genome", "evaluate", h.key);
-                std::vector<uint64_t> seeds(
-                    static_cast<std::size_t>(cfg_.episodes));
-                for (int e = 0; e < cfg_.episodes; ++e)
-                    seeds[static_cast<std::size_t>(e)] =
-                        seedFor(h.key, e);
-
-                GenomeEvalResult &out = results[i];
-                out.genomeKey = h.key;
-                out.plan = planCache_.acquire(h.key, *h.genome, cfg,
-                                              cfg_.numericsTier);
-                if (cfg_.batchEpisodes) {
-                    out.detail = env::evaluateBatched(
-                        *out.plan, seeds, envs_.shard(worker),
-                        batchScratch_[static_cast<std::size_t>(worker)]);
-                } else {
-                    env::EpisodeRunner runner(envs_.at(worker),
-                                              seeds.front(),
-                                              cfg_.episodes);
-                    out.detail =
-                        runner.evaluateDetailed(*out.plan, seeds);
-                }
-            });
+        evaluatePerGenome(rest, cfg, seedFor, restResults);
     }
+    for (std::size_t j = 0; j < rest.size(); ++j)
+        results[restAt[j]] = std::move(restResults[j]);
 
     // Map the batch onto EvE PE-array waves: genomes fill waves in
     // submission order, one PE per genome; each wave runs in BSP
@@ -314,6 +463,7 @@ EvalEngine::publishMetrics(const std::vector<GenomeEvalResult> &results)
     // registry form of BatchStats, so downstream consumers read one
     // metrics surface instead of plumbing engine structs around.
     m->counter("eval.genomes").add(static_cast<long>(results.size()));
+    m->counter("eval.streamed_genomes").add(lastBatch_.streamedGenomes);
     m->counter("eval.inferences").add(lastBatch_.totalInferences());
     m->counter("eval.supersteps").add(lastBatch_.lockstepSteps());
     m->counter("wave.supersteps").add(lastBatch_.waveSupersteps);

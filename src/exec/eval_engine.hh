@@ -14,6 +14,13 @@
  * pure function of (genome, seed) — bit-identical whether the batch
  * runs on 1 thread or N, and in whatever order workers claim items.
  *
+ * Evaluation can also be pipelined with breeding: streamSink() hands
+ * neat::Reproduction a sink that publishes each genome of the next
+ * generation to the pool's workers the moment it is bred, so ADAM
+ * work overlaps EvE work (the paper's two engines running side by
+ * side). The next evaluateGeneration call collects those results by
+ * key and evaluates only what was never streamed.
+ *
  * The engine also records how the batch would map onto the EvE
  * PE-array: genomes are grouped into waves of `waveWidth` (one PE
  * per genome), each wave running in BSP lockstep until its longest
@@ -24,8 +31,12 @@
 #ifndef GENESYS_EXEC_EVAL_ENGINE_HH
 #define GENESYS_EXEC_EVAL_ENGINE_HH
 
+#include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
+#include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -83,6 +94,12 @@ struct BatchStats
      * env::WaveStats for field semantics.
      */
     int laneCount = 0;
+    /**
+     * Genomes of the batch whose results came from a stream (see
+     * EvalEngine::streamSink) rather than being evaluated by this
+     * call; they ran the per-genome path, never the wave scheduler.
+     */
+    int streamedGenomes = 0;
     long waveSupersteps = 0;
     long waveLaneSlotSteps = 0;
     long waveActiveLaneSteps = 0;
@@ -205,17 +222,57 @@ class EvalEngine
     using SeedFn = std::function<uint64_t(int genomeKey, int episode)>;
 
     explicit EvalEngine(EvalEngineConfig cfg);
+    /** Discards an open stream (see discardStream) first. */
+    ~EvalEngine();
+
+    EvalEngine(const EvalEngine &) = delete;
+    EvalEngine &operator=(const EvalEngine &) = delete;
 
     /**
      * Evaluate one generation's genomes concurrently. Results are
      * returned in submission order regardless of which worker ran
      * which genome; given the same seeds they are bit-identical
      * across thread counts.
+     *
+     * If a stream is open (see streamSink), this first joins it:
+     * genomes whose key was streamed take the streamed result, and
+     * streamed keys absent from `batch` are discarded. Only the
+     * genomes never streamed are evaluated here, routed exactly as a
+     * whole batch is (wave scheduler or per-genome fan-out). An
+     * exception thrown by any genome, streamed or not, surfaces here.
      */
     std::vector<GenomeEvalResult>
     evaluateGeneration(const std::vector<neat::GenomeHandle> &batch,
                        const neat::NeatConfig &cfg,
                        const SeedFn &seedFor);
+
+    /**
+     * A sink that streams the next generation into this engine while
+     * it is bred (neat::Population::stepBatch's sink overload):
+     *   - begin(eliteKeys) prunes the plan cache to the elites — the
+     *     cache never holds two generations, and elites still skip
+     *     recompilation — and opens the stream;
+     *   - genome(h) publishes `h` to the pool's workers, which
+     *     compile it and run its episodes with `seedFor` right away;
+     *   - abandon() is discardStream().
+     * A stream holds at most cfg.populationSize genomes (what
+     * reproduction breeds). `seedFor` must be the seed function the
+     * collecting evaluateGeneration call will pass. Streamed genomes always run
+     * the per-genome path (the wave scheduler needs the whole batch
+     * up front), which is bit-identical to it by contract. The
+     * streamed genomes must stay alive and unmodified until that
+     * call (or discardStream) returns.
+     */
+    neat::GenomeSink streamSink(const neat::NeatConfig &cfg,
+                                SeedFn seedFor);
+
+    /**
+     * Drop an open stream: genomes not yet started are skipped,
+     * in-flight ones finish, and every streamed result is
+     * discarded. A no-op without an open stream. Call it before
+     * freeing streamed genomes the engine will not collect.
+     */
+    void discardStream();
 
     /**
      * SplitMix-style per-(genome, episode) seed mixer: two chained
@@ -242,10 +299,11 @@ class EvalEngine
 
     /**
      * The plan cache: pruned at the top of every evaluateGeneration
-     * call to the submitted keys, so its size is bounded by the
-     * generation's batch size while elite genomes (same key as the
-     * previous generation) keep their compiled plan across
-     * generations — zero recompiles for elites.
+     * call to the submitted keys (or, for a streamed generation,
+     * when the stream begins, to the elite keys), so its size is
+     * bounded by the generation's batch size while elite genomes
+     * (same key as the previous generation) keep their compiled plan
+     * across generations — zero recompiles for elites.
      */
     const nn::PlanCache &planCache() const { return planCache_; }
 
@@ -262,14 +320,35 @@ class EvalEngine
     uint64_t workerBusyNs() const { return pool_.busyNs(); }
 
     /**
-     * Does this engine route generations through the plan-
+     * Does this engine route whole batches through the plan-
      * heterogeneous wave scheduler? True iff batching is enabled,
      * `heterogeneousLanes` is set and the config evaluates one
-     * episode per genome.
+     * episode per genome. Streamed genomes never take it; a batch
+     * that did reports laneCount > 0 in lastBatchStats().
      */
     bool usesHeterogeneousWaves() const;
 
   private:
+    /**
+     * Open a per-genome job on the pool: up to `capacity` genomes,
+     * each evaluated by evaluateOne with `cfg` and `seedFor`.
+     */
+    void openJob(const neat::NeatConfig &cfg, const SeedFn &seedFor,
+                 std::size_t capacity);
+    /** Publish genomes to the open job, in order. */
+    void submit(std::span<const neat::GenomeHandle> genomes);
+    /**
+     * Join the open job; its results in submission order. Rethrows
+     * the first exception a genome threw, with the job closed and
+     * the engine ready for the next one.
+     */
+    std::vector<GenomeEvalResult> joinJob();
+    /**
+     * The per-genome body: compile (plan cache) and run one job
+     * genome's episodes on `worker`'s private shard.
+     */
+    void evaluateOne(std::size_t item, int worker);
+
     /**
      * parallelFor with exception containment: a throwing item (e.g. a
      * plan-compile validation panic) is captured and rethrown on the
@@ -288,6 +367,12 @@ class EvalEngine
                        const neat::NeatConfig &cfg,
                        const SeedFn &seedFor,
                        std::vector<GenomeEvalResult> &results);
+
+    /** The per-genome fan-out: submit every genome, then collect. */
+    void evaluatePerGenome(const std::vector<neat::GenomeHandle> &batch,
+                           const neat::NeatConfig &cfg,
+                           const SeedFn &seedFor,
+                           std::vector<GenomeEvalResult> &results);
 
     /**
      * Publish the batch that just finished into the active
@@ -317,6 +402,24 @@ class EvalEngine
     std::vector<env::EpisodeBatchScratch> batchScratch_;
     /** One heterogeneous-wave scratch per worker, reused likewise. */
     std::vector<env::WaveScratch> waveScratch_;
+
+    /**
+     * The open per-genome job. Both vectors are sized to the job's
+     * capacity when it opens and never reallocate while it runs, so
+     * the caller can fill slot n while workers read slot m < n.
+     */
+    neat::NeatConfig jobCfg_;
+    SeedFn jobSeeds_;
+    std::vector<neat::GenomeHandle> jobGenomes_;
+    std::vector<GenomeEvalResult> jobResults_;
+    std::size_t jobSubmitted_ = 0;
+    /** Is the open job a stream (collected by evaluateGeneration)? */
+    bool streamOpen_ = false;
+    /** Set while discarding: job genomes not yet started are skipped. */
+    std::atomic<bool> discarding_{false};
+    /** First exception a job genome threw (guarded by jobErrorMutex_). */
+    std::mutex jobErrorMutex_;
+    std::exception_ptr jobError_;
 };
 
 } // namespace genesys::exec

@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "common/check.hh"
+#include "common/logging.hh"
 #include "obs/tracer.hh"
 
 namespace genesys::exec
@@ -42,6 +43,10 @@ ThreadPool::ThreadPool(int threads)
 
 ThreadPool::~ThreadPool()
 {
+    // An owner that unwinds past an open job still gets its items
+    // run to completion before the workers go away.
+    if (jobOpen())
+        join();
     {
         std::lock_guard<std::mutex> lock(mutex_);
         stopping_ = true;
@@ -49,6 +54,23 @@ ThreadPool::~ThreadPool()
     wake_.notify_all();
     for (auto &t : threads_)
         t.join();
+}
+
+bool
+ThreadPool::claim(std::size_t &item)
+{
+    // Never step the cursor past the published count: a worker that
+    // raced ahead would otherwise own an index whose payload the
+    // publisher has not written yet.
+    std::size_t c = cursor_.load(std::memory_order_relaxed);
+    while (c < published_.load(std::memory_order_acquire)) {
+        if (cursor_.compare_exchange_weak(c, c + 1,
+                                          std::memory_order_relaxed)) {
+            item = c;
+            return true;
+        }
+    }
+    return false;
 }
 
 void
@@ -61,30 +83,38 @@ ThreadPool::drain(int worker)
                                       threads_.size(),
                    "drain called with worker id " << worker << ", pool"
                    " has " << threads_.size() + 1 << " workers");
-    // jobCount_/jobBody_ are written under the mutex before jobId_
-    // advances and read here after observing that advance (or, for
-    // the caller, in its own posting frame), so the reads are ordered.
-    const std::size_t count = jobCount_;
+    // jobBody_ is written under the mutex before jobId_ advances and
+    // read here after observing that advance (or, for the caller, in
+    // its own posting frame), so the reads are ordered.
+    std::size_t item = 0;
     for (;;) {
-        const std::size_t item =
-            cursor_.fetch_add(1, std::memory_order_relaxed);
-        if (item >= count)
-            break;
-        jobBody_(item, worker);
+        if (claim(item)) {
+            // Two clock reads per run of claims — never per item, so
+            // the accounting stays off the episode hot loop. The span
+            // is the worker-timeline backbone in chrome://tracing; a
+            // null tracer reduces it to one predicted branch.
+            obs::Span span("pool.drain", "pool", worker);
+            const uint64_t t0 = nowNs();
+            do {
+                jobBody_(item, worker);
+            } while (claim(item));
+            busyNs_.fetch_add(nowNs() - t0, std::memory_order_relaxed);
+        }
+        std::unique_lock<std::mutex> lock(mutex_);
+        const auto claimable = [&] {
+            return cursor_.load(std::memory_order_relaxed) <
+                   published_.load(std::memory_order_relaxed);
+        };
+        // Only spawned workers wait here: the caller drains after
+        // closing the job.
+        if (open_ && !claimable()) {
+            const uint64_t w0 = nowNs();
+            more_.wait(lock, [&] { return !open_ || claimable(); });
+            waitNs_.fetch_add(nowNs() - w0, std::memory_order_relaxed);
+        }
+        if (!claimable())
+            return; // closed, and every published item claimed
     }
-}
-
-void
-ThreadPool::drainTimed(int worker)
-{
-    // Two clock reads per (job, worker) — per job, not per item, so
-    // the accounting never touches the episode hot loop. The span is
-    // the worker-timeline backbone in chrome://tracing; a null
-    // tracer reduces it to one predicted branch.
-    obs::Span span("pool.drain", "pool", worker);
-    const uint64_t t0 = nowNs();
-    drain(worker);
-    busyNs_.fetch_add(nowNs() - t0, std::memory_order_relaxed);
 }
 
 void
@@ -113,7 +143,7 @@ ThreadPool::workerLoop(int worker)
         }
         // A worker that wakes after the job already drained simply
         // claims no items; jobBody_ stays valid until the next post.
-        drainTimed(worker);
+        drain(worker);
         {
             std::lock_guard<std::mutex> lock(mutex_);
             if (--busyWorkers_ == 0)
@@ -123,52 +153,95 @@ ThreadPool::workerLoop(int worker)
 }
 
 void
+ThreadPool::start(std::function<void(std::size_t, int)> body,
+                  std::size_t published, bool open)
+{
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        GENESYS_ASSERT(!open_, "ThreadPool runs one job at a time: "
+                               "join the open job first");
+        // A worker that woke late for the *previous* job may still be
+        // inside drain() (claiming no items, since that job is closed
+        // and exhausted). Wait for it before touching job state, so
+        // jobBody_ is never written while any worker reads it.
+        done_.wait(lock, [&] { return busyWorkers_ == 0; });
+        jobBody_ = std::move(body);
+        cursor_.store(0, std::memory_order_relaxed);
+        published_.store(published, std::memory_order_relaxed);
+        open_ = open;
+        ++jobId_;
+    }
+    if (!threads_.empty())
+        wake_.notify_all();
+}
+
+void
+ThreadPool::finish()
+{
+    // The caller participates as worker 0.
+    drain(0);
+
+    // Every item is claimed here; wait for the workers still
+    // executing theirs. (A worker that never woke for this job can
+    // still register later — it claims no items, and start()'s wait
+    // keeps it from racing the next job's state.)
+    std::unique_lock<std::mutex> lock(mutex_);
+    done_.wait(lock, [&] { return busyWorkers_ == 0; });
+    GENESYS_DCHECK(cursor_.load(std::memory_order_relaxed) >=
+                       published_.load(std::memory_order_relaxed),
+                   "job finished with unclaimed items: cursor "
+                       << cursor_.load(std::memory_order_relaxed)
+                       << " < published "
+                       << published_.load(std::memory_order_relaxed));
+}
+
+void
 ThreadPool::parallelFor(std::size_t count,
                         const std::function<void(std::size_t, int)> &body)
 {
     if (count == 0)
         return;
+    start(body, count, /*open=*/false);
+    finish();
+}
 
-    // Single-threaded pool: run inline, no synchronization at all
-    // (busy accounting still applies — worker 0 is the caller).
-    if (threads_.empty()) {
-        obs::Span span("pool.drain", "pool", 0);
-        const uint64_t t0 = nowNs();
-        for (std::size_t i = 0; i < count; ++i)
-            body(i, 0);
-        busyNs_.fetch_add(nowNs() - t0, std::memory_order_relaxed);
-        return;
-    }
+void
+ThreadPool::beginJob(std::function<void(std::size_t, int)> body)
+{
+    start(std::move(body), 0, /*open=*/true);
+}
 
+void
+ThreadPool::publish(std::size_t n)
+{
     {
-        std::unique_lock<std::mutex> lock(mutex_);
-        // A worker that woke late for the *previous* job may still be
-        // inside drain() (claiming no items, since that cursor is
-        // exhausted). Wait for it before touching job state, so
-        // jobCount_/jobBody_ are never written while any worker reads
-        // them.
-        done_.wait(lock, [&] { return busyWorkers_ == 0; });
-        jobCount_ = count;
-        jobBody_ = body;
-        cursor_.store(0, std::memory_order_relaxed);
-        ++jobId_;
+        std::lock_guard<std::mutex> lock(mutex_);
+        GENESYS_ASSERT(open_, "publish() without an open job");
+        published_.fetch_add(n, std::memory_order_release);
     }
-    wake_.notify_all();
+    if (n == 1)
+        more_.notify_one();
+    else
+        more_.notify_all();
+}
 
-    // The caller participates as worker 0.
-    drainTimed(0);
+void
+ThreadPool::join()
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        GENESYS_ASSERT(open_, "join() without an open job");
+        open_ = false;
+    }
+    more_.notify_all();
+    finish();
+}
 
-    // cursor >= count here, so every item was claimed; wait for the
-    // workers still executing their claimed items to finish. (A
-    // worker that never woke for this job can still register later —
-    // it claims no items, and the pre-post wait above keeps it from
-    // racing the next job's state.)
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_.wait(lock, [&] { return busyWorkers_ == 0; });
-    GENESYS_DCHECK(cursor_.load(std::memory_order_relaxed) >= count,
-                   "parallelFor returning with unclaimed items: cursor "
-                       << cursor_.load(std::memory_order_relaxed)
-                       << " < count " << count);
+bool
+ThreadPool::jobOpen() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return open_;
 }
 
 } // namespace genesys::exec

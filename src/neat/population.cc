@@ -139,6 +139,12 @@ Population::step(const FitnessFn &fitness)
 bool
 Population::stepBatch(const BatchFitnessFn &fitness)
 {
+    return stepBatch(fitness, GenomeSink{});
+}
+
+bool
+Population::stepBatch(const BatchFitnessFn &fitness, const GenomeSink &sink)
+{
     lastPhases_ = StepPhaseTimes{};
     // Evaluate every genome (on the SoC: steps 1-6 of the
     // walkthrough, leveraging population-level parallelism). The
@@ -186,13 +192,15 @@ Population::stepBatch(const BatchFitnessFn &fitness)
     // and speciation below are the serial generation-barrier phases;
     // their wall-clock lands in lastStepPhases() (and on the span
     // timeline) so the barrier-idle fraction is a measured number.
+    // The sink sees each bred genome as soon as it is final; an
+    // extinction restart below is never streamed.
     EvolutionTrace trace_out;
     const auto r0 = Clock::now();
     {
         obs::Span span("reproduce", "phase", generation_);
         auto next = reproduction_.reproduce(speciesSet_, population_,
                                             generation_, rng_,
-                                            trace_out);
+                                            trace_out, &sink);
         if (next.empty()) {
             if (!cfg_.resetOnExtinction)
                 fatal("complete extinction in generation " +

@@ -101,16 +101,6 @@ struct RunResult
 };
 
 /**
- * A handle into the population: the genome's key plus a borrowed
- * pointer, valid for the duration of one batch-evaluation call.
- */
-struct GenomeHandle
-{
-    int key = -1;
-    const Genome *genome = nullptr;
-};
-
-/**
  * A NEAT population. Fitness evaluation is supplied by the caller as
  * a callback (in GeneSys, that callback is ADAM + the environment
  * instances; see core/genesys.hh). Two callback shapes exist: the
@@ -148,6 +138,15 @@ class Population
      * callback in one batch (population-level parallelism).
      */
     bool stepBatch(const BatchFitnessFn &fitness);
+
+    /**
+     * stepBatch() that also hands every genome of the next generation
+     * to `sink` the moment reproduction finalizes it (see GenomeSink),
+     * so the caller can start evaluating generation n+1 while the rest
+     * of it is still being bred. Evolution is unchanged: the same
+     * RNG draws, keys and traces as without a sink.
+     */
+    bool stepBatch(const BatchFitnessFn &fitness, const GenomeSink &sink);
 
     /** Run up to `max_generations` steps or until solved. */
     RunResult run(const FitnessFn &fitness, int max_generations);

@@ -104,7 +104,8 @@ Reproduction::computeSpawn(const std::vector<double> &adjusted_fitness,
 std::map<int, Genome>
 Reproduction::reproduce(SpeciesSet &species,
                         const std::map<int, Genome> &population,
-                        int generation, XorWow &rng, EvolutionTrace &trace)
+                        int generation, XorWow &rng, EvolutionTrace &trace,
+                        const GenomeSink *sink)
 {
     trace.generation = generation;
     trace.children.clear();
@@ -183,13 +184,18 @@ Reproduction::reproduce(SpeciesSet &species,
     shave_down_to(cfg_.elitism); // spare elites while possible
     shave_down_to(0);            // cut elites only if they alone overflow
 
+    // Rank every species' members by fitness (descending; key as
+    // tiebreak for determinism) before breeding anything. Ranking
+    // draws no RNG, so doing it up front leaves the draw order
+    // untouched — and it fixes the elite set before the first child
+    // exists, which a sink needs to prune state to the survivors.
+    std::vector<std::vector<std::pair<double, int>>> ranked_by_species(
+        remaining.size());
+    std::vector<int> elite_counts(remaining.size());
+    std::vector<int> elite_keys;
     for (size_t si = 0; si < remaining.size(); ++si) {
         const Species &sp = species.species().at(remaining[si]);
-        int spawn = spawns[si];
-
-        // Rank members by fitness (descending; key as tiebreak for
-        // determinism).
-        std::vector<std::pair<double, int>> ranked;
+        auto &ranked = ranked_by_species[si];
         for (int mk : sp.memberKeys)
             ranked.emplace_back(population.at(mk).fitness(), mk);
         std::sort(ranked.begin(), ranked.end(), [](const auto &a,
@@ -198,85 +204,111 @@ Reproduction::reproduce(SpeciesSet &species,
                 return a.first > b.first;
             return a.second < b.second;
         });
-
-        // Elitism: the species' best genomes survive unchanged. On
-        // chip this is a genome that is simply left in the Genome
-        // Buffer; no EvE work.
-        for (int i = 0; i < cfg_.elitism &&
-                        i < static_cast<int>(ranked.size()) && spawn > 0;
-             ++i, --spawn) {
-            const int gid = ranked[static_cast<size_t>(i)].second;
-            Genome elite = population.at(gid);
-            elite.clearFitness();
-            new_population.emplace(gid, std::move(elite));
-
-            ChildRecord rec;
-            rec.childKey = gid;
-            rec.parent1Key = gid;
-            rec.parent2Key = gid;
-            rec.isElite = true;
-            const Genome &src = population.at(gid);
-            rec.childNodeGenes = src.numNodeGenes();
-            rec.childConnGenes = src.numConnectionGenes();
-            trace.children.push_back(rec);
-        }
-        if (spawn <= 0)
-            continue;
-
-        // Survival threshold: only the top fraction may be parents.
-        size_t cutoff = static_cast<size_t>(std::ceil(
-            cfg_.survivalThreshold * static_cast<double>(ranked.size())));
-        cutoff = std::max<size_t>(cutoff, 2);
-        cutoff = std::min(cutoff, ranked.size());
-
-        // Rank-biased survivor pick (see NeatConfig::parentSelectionBias).
-        auto pick_parent = [&]() -> size_t {
-            const double u = rng.uniform();
-            const double biased =
-                std::pow(u, std::max(1.0, cfg_.parentSelectionBias));
-            auto idx = static_cast<size_t>(
-                biased * static_cast<double>(cutoff));
-            return std::min(idx, cutoff - 1);
-        };
-
-        while (spawn-- > 0) {
-            const size_t i1 = pick_parent();
-            const size_t i2 = pick_parent();
-            int p1_key = ranked[i1].second;
-            int p2_key = ranked[i2].second;
-            // Fitter parent first (parent 1 contributes disjoint
-            // genes).
-            if (population.at(p2_key).fitness() >
-                population.at(p1_key).fitness()) {
-                std::swap(p1_key, p2_key);
-            }
-            const Genome &p1 = population.at(p1_key);
-            const Genome &p2 = population.at(p2_key);
-
-            const int child_key = nextGenomeKey_++;
-            ChildRecord rec;
-            rec.childKey = child_key;
-            rec.parent1Key = p1_key;
-            rec.parent2Key = p2_key;
-            rec.parent1Genes = p1.numGenes();
-            rec.parent2Genes = p2.numGenes();
-            rec.alignedStreamLen = alignedStreamLength(p1, p2);
-
-            Genome child =
-                Genome::crossover(child_key, p1, p2, rng, &rec.ops);
-            rec.ops += child.mutate(cfg_, nodeIndexer_, rng);
-
-            rec.childNodeGenes = child.numNodeGenes();
-            rec.childConnGenes = child.numConnectionGenes();
-            trace.children.push_back(rec);
-            new_population.emplace(child_key, std::move(child));
-        }
+        elite_counts[si] = std::max(
+            0, std::min({cfg_.elitism, static_cast<int>(ranked.size()),
+                         spawns[si]}));
+        for (int i = 0; i < elite_counts[si]; ++i)
+            elite_keys.push_back(ranked[static_cast<size_t>(i)].second);
     }
-    GENESYS_ASSERT(new_population.size() <=
-                       static_cast<size_t>(cfg_.populationSize),
-                   "reproduction overshot populationSize: "
-                       << new_population.size() << " > "
-                       << cfg_.populationSize);
+    if (sink && sink->begin)
+        sink->begin(elite_keys);
+
+    const auto emit = [&](int key, Genome genome) {
+        const auto it = new_population.emplace(key, std::move(genome)).first;
+        if (sink && sink->genome)
+            sink->genome(GenomeHandle{key, &it->second});
+    };
+
+    try {
+        for (size_t si = 0; si < remaining.size(); ++si) {
+            const auto &ranked = ranked_by_species[si];
+            int spawn = spawns[si];
+
+            // Elitism: the species' best genomes survive unchanged. On
+            // chip this is a genome that is simply left in the Genome
+            // Buffer; no EvE work.
+            for (int i = 0; i < elite_counts[si]; ++i, --spawn) {
+                const int gid = ranked[static_cast<size_t>(i)].second;
+                const Genome &src = population.at(gid);
+                ChildRecord rec;
+                rec.childKey = gid;
+                rec.parent1Key = gid;
+                rec.parent2Key = gid;
+                rec.isElite = true;
+                rec.childNodeGenes = src.numNodeGenes();
+                rec.childConnGenes = src.numConnectionGenes();
+                trace.children.push_back(rec);
+
+                Genome elite = src;
+                elite.clearFitness();
+                emit(gid, std::move(elite));
+            }
+            if (spawn <= 0)
+                continue;
+
+            // Survival threshold: only the top fraction may be parents.
+            size_t cutoff = static_cast<size_t>(
+                std::ceil(cfg_.survivalThreshold *
+                          static_cast<double>(ranked.size())));
+            cutoff = std::max<size_t>(cutoff, 2);
+            cutoff = std::min(cutoff, ranked.size());
+
+            // Rank-biased survivor pick (see
+            // NeatConfig::parentSelectionBias).
+            auto pick_parent = [&]() -> size_t {
+                const double u = rng.uniform();
+                const double biased = std::pow(
+                    u, std::max(1.0, cfg_.parentSelectionBias));
+                auto idx = static_cast<size_t>(
+                    biased * static_cast<double>(cutoff));
+                return std::min(idx, cutoff - 1);
+            };
+
+            while (spawn-- > 0) {
+                const size_t i1 = pick_parent();
+                const size_t i2 = pick_parent();
+                int p1_key = ranked[i1].second;
+                int p2_key = ranked[i2].second;
+                // Fitter parent first (parent 1 contributes disjoint
+                // genes).
+                if (population.at(p2_key).fitness() >
+                    population.at(p1_key).fitness()) {
+                    std::swap(p1_key, p2_key);
+                }
+                const Genome &p1 = population.at(p1_key);
+                const Genome &p2 = population.at(p2_key);
+
+                const int child_key = nextGenomeKey_++;
+                ChildRecord rec;
+                rec.childKey = child_key;
+                rec.parent1Key = p1_key;
+                rec.parent2Key = p2_key;
+                rec.parent1Genes = p1.numGenes();
+                rec.parent2Genes = p2.numGenes();
+                rec.alignedStreamLen = alignedStreamLength(p1, p2);
+
+                Genome child =
+                    Genome::crossover(child_key, p1, p2, rng, &rec.ops);
+                rec.ops += child.mutate(cfg_, nodeIndexer_, rng);
+
+                rec.childNodeGenes = child.numNodeGenes();
+                rec.childConnGenes = child.numConnectionGenes();
+                trace.children.push_back(rec);
+                emit(child_key, std::move(child));
+            }
+        }
+        GENESYS_ASSERT(new_population.size() <=
+                           static_cast<size_t>(cfg_.populationSize),
+                       "reproduction overshot populationSize: "
+                           << new_population.size() << " > "
+                           << cfg_.populationSize);
+    } catch (...) {
+        // The sink may still be reading genomes new_population owns;
+        // let it stop before unwinding destroys them.
+        if (sink && sink->abandon)
+            sink->abandon();
+        throw;
+    }
     return new_population;
 }
 

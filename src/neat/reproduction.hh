@@ -10,6 +10,7 @@
 #ifndef GENESYS_NEAT_REPRODUCTION_HH
 #define GENESYS_NEAT_REPRODUCTION_HH
 
+#include <functional>
 #include <map>
 #include <vector>
 
@@ -20,6 +21,39 @@
 
 namespace genesys::neat
 {
+
+/**
+ * A handle into the population: the genome's key plus a borrowed
+ * pointer, valid for the duration of one batch-evaluation call.
+ */
+struct GenomeHandle
+{
+    int key = -1;
+    const Genome *genome = nullptr;
+};
+
+/**
+ * Receives the next generation genome by genome while reproduction
+ * breeds it — the hook that lets evaluation (ADAM) overlap breeding
+ * (EvE). Every callback is optional; handed-out genomes stay valid
+ * and unmodified until the population replaces that generation.
+ */
+struct GenomeSink
+{
+    /**
+     * Called once per reproduction, before the first genome, with the
+     * key of every elite the new generation keeps. Not called on
+     * complete extinction.
+     */
+    std::function<void(const std::vector<int> &eliteKeys)> begin;
+    /** One finalized genome (elite or child) of the new generation. */
+    std::function<void(const GenomeHandle &genome)> genome;
+    /**
+     * Reproduction failed after begin(): the genomes handed out are
+     * about to be destroyed, so stop reading them before returning.
+     */
+    std::function<void()> abandon;
+};
 
 /** NEAT reproduction engine (neat-python DefaultReproduction). */
 class Reproduction
@@ -34,11 +68,14 @@ class Reproduction
      * Produce the next generation from the current one. Removes
      * stagnant species from `species` as a side effect. Returns the
      * new population (empty on complete extinction) and fills
-     * `trace` with the reproduction record.
+     * `trace` with the reproduction record. With a `sink`, each
+     * genome is handed to it as soon as it is final; the returned
+     * map owns those very genome objects (map nodes never move).
      */
     std::map<int, Genome>
     reproduce(SpeciesSet &species, const std::map<int, Genome> &population,
-              int generation, XorWow &rng, EvolutionTrace &trace);
+              int generation, XorWow &rng, EvolutionTrace &trace,
+              const GenomeSink *sink = nullptr);
 
     /**
      * Spawn-count apportioning (neat-python compute_spawn): smooth

@@ -54,19 +54,35 @@ PlanCache::beginGeneration()
 void
 PlanCache::beginGeneration(const std::vector<int> &survivingKeys)
 {
-    std::vector<int> sorted = survivingKeys;
+    const long kept = prune(survivingKeys);
+    std::lock_guard<std::mutex> lock(mutex_);
+    carriedOver_ += kept;
+}
+
+void
+PlanCache::retain(const std::vector<int> &keys)
+{
+    prune(keys);
+}
+
+long
+PlanCache::prune(const std::vector<int> &keys)
+{
+    std::vector<int> sorted = keys;
     std::sort(sorted.begin(), sorted.end());
 
+    long kept = 0;
     std::lock_guard<std::mutex> lock(mutex_);
     for (auto it = plans_.begin(); it != plans_.end();) {
         if (std::binary_search(sorted.begin(), sorted.end(),
                                it->first.first)) {
-            ++carriedOver_;
+            ++kept;
             ++it;
         } else {
             it = plans_.erase(it);
         }
     }
+    return kept;
 }
 
 std::shared_ptr<const CompiledPlan>

@@ -52,6 +52,15 @@ class PlanCache
     void beginGeneration(const std::vector<int> &survivingKeys);
 
     /**
+     * Drop every plan whose key is not in `keys`, within the current
+     * generation (nothing counts as carried over). A streamed
+     * generation calls beginGeneration() when its stream begins and
+     * this when it is collected, to shed plans of streamed genomes
+     * that did not make it into the evaluated batch.
+     */
+    void retain(const std::vector<int> &keys);
+
+    /**
      * The plan for `genome`, compiling it on first request — via
      * CompiledPlan::compileFor, so feed-forward configs get levelized
      * plans and recurrent configs (NeatConfig::feedForward == false)
@@ -111,6 +120,9 @@ class PlanCache
     };
 
     static uint64_t fingerprintOf(const neat::Genome &genome);
+
+    /** Erase plans absent from `keys`; returns how many were kept. */
+    long prune(const std::vector<int> &keys);
 
     mutable std::mutex mutex_;
     /** Keyed by (genome key, numerics tier) — see acquire(). */

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
+#include <thread>
 
 #include "core/genesys.hh"
 #include "exec/eval_engine.hh"
@@ -59,6 +61,79 @@ TEST(ThreadPoolTest, BackToBackJobsDoNotInterfere)
         const int n = round + 1;
         EXPECT_EQ(sum.load(), n * (n + 1) / 2);
     }
+}
+
+TEST(ThreadPoolTest, AsyncJobClaimsEachPublishedItemOnce)
+{
+    for (int threads : {1, 2, 8}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        ThreadPool pool(threads);
+        constexpr std::size_t kItems = 300;
+        std::vector<std::atomic<int>> hits(kItems);
+        std::vector<int> payload(kItems, -1);
+        pool.beginJob([&](std::size_t i, int worker) {
+            EXPECT_GE(worker, 0);
+            EXPECT_LT(worker, threads);
+            // Written before publish(i): a claim never sees a stale
+            // payload.
+            EXPECT_EQ(payload[i], static_cast<int>(i));
+            hits[i].fetch_add(1);
+        });
+        EXPECT_TRUE(pool.jobOpen());
+        for (std::size_t i = 0; i < kItems; ++i) {
+            payload[i] = static_cast<int>(i);
+            pool.publish();
+        }
+        pool.join();
+        EXPECT_FALSE(pool.jobOpen());
+        for (std::size_t i = 0; i < kItems; ++i)
+            EXPECT_EQ(hits[i].load(), 1) << "item " << i;
+
+        // The pool takes ordinary jobs again afterwards.
+        std::atomic<int> sum{0};
+        pool.parallelFor(10, [&](std::size_t i, int) {
+            sum.fetch_add(static_cast<int>(i));
+        });
+        EXPECT_EQ(sum.load(), 45);
+    }
+}
+
+TEST(ThreadPoolTest, JoinWaitsForItemsInFlight)
+{
+    ThreadPool pool(2);
+    std::atomic<bool> started{false};
+    std::atomic<bool> finished{false};
+    std::atomic<int> ranOn{-1};
+    pool.beginJob([&](std::size_t, int worker) {
+        ranOn = worker;
+        started = true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(30));
+        finished = true;
+    });
+    pool.publish();
+    // Let the spawned worker claim the item before the caller joins,
+    // so the join finds it in flight rather than running it itself.
+    while (!started)
+        std::this_thread::yield();
+    pool.join();
+    EXPECT_EQ(ranOn.load(), 1);
+    EXPECT_TRUE(finished.load());
+}
+
+TEST(ThreadPoolTest, SingleThreadAsyncJobRunsInlineAtJoin)
+{
+    ThreadPool pool(1);
+    int count = 0;
+    pool.beginJob([&](std::size_t, int worker) {
+        EXPECT_EQ(worker, 0);
+        ++count;
+    });
+    for (int i = 0; i < 5; ++i)
+        pool.publish();
+    // No other thread exists: nothing runs before the caller joins.
+    EXPECT_EQ(count, 0);
+    pool.join();
+    EXPECT_EQ(count, 5);
 }
 
 // --- helpers ----------------------------------------------------------------
@@ -410,6 +485,39 @@ TEST(EvalEngineTest, CompileFailurePropagatesAsException)
                 handlesOf(genomes), cfg,
                 EvalEngine::perGenomeSeeds(7));
             EXPECT_EQ(ok.size(), genomes.size());
+
+            // The same genome streamed ahead of its batch: the
+            // failure surfaces when evaluateGeneration collects it.
+            // (A stream holds at most populationSize genomes.)
+            neat::NeatConfig streamCfg = cfg;
+            streamCfg.populationSize = static_cast<int>(handles.size());
+            const auto sink = engine.streamSink(
+                streamCfg, EvalEngine::perGenomeSeeds(7));
+            sink.begin({});
+            for (const neat::GenomeHandle &h : handles)
+                sink.genome(h);
+            EXPECT_THROW(engine.evaluateGeneration(
+                             handles, cfg,
+                             EvalEngine::perGenomeSeeds(7)),
+                         std::logic_error);
+
+            // ...and the next generation, streamed or not, evaluates
+            // normally, bit-identical to the clean batch above.
+            const auto clean_sink =
+                engine.streamSink(cfg, EvalEngine::perGenomeSeeds(7));
+            clean_sink.begin({});
+            for (const neat::GenomeHandle &h : handlesOf(genomes))
+                clean_sink.genome(h);
+            const auto streamed = engine.evaluateGeneration(
+                handlesOf(genomes), cfg,
+                EvalEngine::perGenomeSeeds(7));
+            EXPECT_EQ(engine.lastBatchStats().streamedGenomes,
+                      static_cast<int>(genomes.size()));
+            ASSERT_EQ(streamed.size(), ok.size());
+            for (size_t i = 0; i < ok.size(); ++i) {
+                EXPECT_EQ(streamed[i].genomeKey, ok[i].genomeKey);
+                EXPECT_EQ(streamed[i].detail.fitness, ok[i].detail.fitness);
+            }
         }
     }
 }

@@ -52,6 +52,28 @@ TEST(FixedPoint, SaturatesLow)
     EXPECT_DOUBLE_EQ(q.quantize(-1000.0), q.minValue());
 }
 
+TEST(FixedPoint, SaturatesFarOutOfRangeToTheRightRail)
+{
+    // Values whose scaled code overflows int32 must still saturate
+    // toward their own sign, not wrap to the opposite rail.
+    FixedPointCodec q(6, 10);
+    EXPECT_DOUBLE_EQ(q.quantize(2.2e6), q.maxValue());
+    EXPECT_DOUBLE_EQ(q.quantize(-3e6), q.minValue());
+    EXPECT_DOUBLE_EQ(q.quantize(1e300), q.maxValue());
+    EXPECT_DOUBLE_EQ(q.quantize(-1e300), q.minValue());
+}
+
+TEST(FixedPoint, NonFiniteInputs)
+{
+    FixedPointCodec q(6, 10);
+    EXPECT_DOUBLE_EQ(q.quantize(INFINITY), q.maxValue());
+    EXPECT_DOUBLE_EQ(q.quantize(-INFINITY), q.minValue());
+    // NaN has no sign to saturate toward: pinned to 0.
+    EXPECT_EQ(q.encode(std::nan("")), 0u);
+    EXPECT_EQ(q.encode(-std::nan("")), 0u);
+    EXPECT_DOUBLE_EQ(q.quantize(std::nan("")), 0.0);
+}
+
 TEST(FixedPoint, NegativeEncodingSignExtends)
 {
     FixedPointCodec q(4, 4); // 8-bit field

@@ -318,6 +318,60 @@ TEST(PlanCacheEngineTest, FullEvolutionLoopNeverRecompilesAnyGenome)
     EXPECT_EQ(engine.planCache().racesDiscarded(), 0);
 }
 
+TEST(PlanCacheEngineTest, StreamedLoopNeverRecompilesAndHoldsOneGeneration)
+{
+    // The same guarantees when each generation is streamed into the
+    // engine while it is bred: one compile per distinct key, elites
+    // carried over, and — since the cache is pruned to the elites
+    // before the first child compiles — never more plans than one
+    // generation's genomes, even mid-stream.
+    auto env = env::makeEnvironment("CartPole_v0");
+    neat::NeatConfig cfg = env::configForEnvironment(*env);
+    cfg.populationSize = 16;
+    cfg.fitnessThreshold = 1e18;
+
+    EvalEngineConfig ecfg;
+    ecfg.envName = "CartPole_v0";
+    ecfg.numThreads = 4;
+    ecfg.episodes = 2;
+    EvalEngine engine(ecfg);
+
+    neat::Population pop(cfg, 2027);
+    std::set<int> distinct_keys;
+    for (int gen = 0; gen < 6; ++gen) {
+        pop.stepBatch(
+            [&](const std::vector<neat::GenomeHandle> &batch) {
+                // Mid-stream: the previous generation's plans are
+                // gone; only this generation's can be cached.
+                EXPECT_LE(engine.planCache().size(), batch.size());
+                for (const auto &h : batch)
+                    distinct_keys.insert(h.key);
+                const auto results = engine.evaluateGeneration(
+                    batch, cfg, EvalEngine::sharedEpisodeSeeds(9));
+                EXPECT_EQ(engine.lastBatchStats().streamedGenomes,
+                          gen == 0 ? 0 : static_cast<int>(batch.size()));
+                std::vector<double> fits;
+                for (const auto &r : results)
+                    fits.push_back(r.detail.fitness);
+                return fits;
+            },
+            engine.streamSink(cfg, EvalEngine::sharedEpisodeSeeds(9)));
+    }
+
+    // The last step streamed one more generation; collect it too.
+    std::vector<neat::GenomeHandle> last;
+    for (const auto &[k, g] : pop.genomes()) {
+        last.push_back({k, &g});
+        distinct_keys.insert(k);
+    }
+    engine.evaluateGeneration(last, cfg, EvalEngine::sharedEpisodeSeeds(9));
+
+    EXPECT_EQ(engine.planCache().compiles(),
+              static_cast<long>(distinct_keys.size()));
+    EXPECT_GE(engine.planCache().carriedOver(), 5);
+    EXPECT_EQ(engine.planCache().racesDiscarded(), 0);
+}
+
 TEST(PlanCacheEngineTest, SharedPlansBitIdenticalAcross128Threads)
 {
     const auto [cfg, genomes] = makeGenomes(24, 61);

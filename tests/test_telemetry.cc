@@ -352,6 +352,44 @@ TEST(TelemetryTest, SessionWritesAllArtifacts)
             << "missing trace key " << key;
 }
 
+TEST(TelemetryTest, StreamedGenomesCounterTracksThePipeline)
+{
+    // Generation 0 is evaluated whole; every later generation was
+    // streamed into the engine while its parents bred it, so the
+    // counter grows by exactly the population size per generation.
+    const std::string dir = freshDir("streamed");
+    {
+        core::SystemConfig cfg;
+        cfg.envName = "CartPole_v0";
+        cfg.seed = 17;
+        cfg.numThreads = 3;
+        cfg.telemetry.metrics = true;
+        cfg.telemetry.trace = true;
+        cfg.telemetry.dir = dir;
+        cfg.tweakNeat = [](neat::NeatConfig &ncfg) {
+            ncfg.populationSize = 24;
+            ncfg.fitnessThreshold = 1e9;
+        };
+        core::System sys(cfg);
+        obs::MetricsRegistry *reg = obs::MetricsRegistry::active();
+        ASSERT_NE(reg, nullptr);
+        long seen = 0;
+        for (int g = 0; g < 4; ++g) {
+            const long pop =
+                static_cast<long>(sys.population().genomes().size());
+            sys.stepGeneration();
+            const long now = reg->counter("eval.streamed_genomes").value();
+            EXPECT_EQ(now - seen, g == 0 ? 0 : pop) << "generation " << g;
+            seen = now;
+        }
+    }
+    const std::string metrics = readFile(dir + "/metrics.jsonl");
+    EXPECT_NE(metrics.find("eval.streamed_genomes"), std::string::npos);
+    // Streamed genomes run the same per-genome body, span and all.
+    const std::string trace = readFile(dir + "/trace.json");
+    EXPECT_NE(trace.find("\"eval.genome\""), std::string::npos);
+}
+
 TEST(TelemetryTest, SecondEnabledSessionDegrades)
 {
     obs::TelemetryConfig a;
