@@ -9,11 +9,7 @@
  *      the bandwidth wall;
  *   3. gene attribute quantization sweep — does the Q6.10 hardware
  *      encoding preserve evolved-policy fitness;
- *   4. the Future Directions hybrid — NEAT topology search followed
- *      by backprop-free ES weight tuning of the frozen topology;
- *   5. direct vs CPPN-indirect genome encoding (the Section III-D1
- *      Genome Buffer compression option);
- *   6. empirical ADAM cost-model cross-check — the analytical
+ *   4. empirical ADAM cost-model cross-check — the analytical
  *      systolic-array cycle counts against measured wall-clock of the
  *      HwFaithful software tier running the same quantized
  *      arithmetic on the same schedules.
@@ -31,9 +27,7 @@
 #include "hw/adam.hh"
 #include "hw/eve.hh"
 #include "hw/gene_encoding.hh"
-#include "neat/weight_tuner.hh"
 #include "nn/compiled_plan.hh"
-#include "nn/cppn.hh"
 #include "nn/levelize.hh"
 
 using namespace genesys;
@@ -192,13 +186,17 @@ main()
                 "CartPole policy fitness (float best genome)");
         t.setHeader({"format", "frac bits", "replay fitness",
                      "fitness loss"});
+        // Replays run in the float tier: the sweep itself is the
+        // quantization under study.
         auto env = env::makeEnvironment("CartPole_v0");
-        env::EpisodeRunner runner(*env, 1234, 1);
-        const double base =
-            runner
-                .runEpisode(nn::FeedForwardNetwork::create(best, ncfg),
-                            1234)
-                .fitness;
+        env::EpisodeRunner runner(*env);
+        nn::PlanScratch scratch;
+        auto replay = [&](const neat::Genome &g) {
+            const auto plan = nn::CompiledPlan::compileFor(
+                g, ncfg, nn::NumericsTier::Reference);
+            return runner.runEpisode(plan, scratch, 1234).fitness;
+        };
+        const double base = replay(best);
         t.addRow({"float64", "-", Table::num(base, 1), "0.0%"});
 
         for (int frac : {12, 10, 8, 6, 4, 2}) {
@@ -210,12 +208,7 @@ main()
             }
             for (auto &&[ck, cg] : quant.mutableConnections())
                 cg.weight = q.quantize(cg.weight);
-            const double f =
-                runner
-                    .runEpisode(
-                        nn::FeedForwardNetwork::create(quant, ncfg),
-                        1234)
-                    .fitness;
+            const double f = replay(quant);
             t.addRow({"Q" + std::to_string(16 - frac) + "." +
                           std::to_string(frac),
                       Table::integer(frac), Table::num(f, 1),
@@ -226,95 +219,7 @@ main()
                      "in the lossless region.\n\n";
     }
 
-    // --- Ablation 4: hybrid topology-search + weight tuning -----------------
-    {
-        // The paper's Future Directions hybrid: NEAT explores the
-        // topology; a backprop-free (mu+lambda)-ES then tunes the
-        // frozen topology's weights (suited to the same hardware:
-        // every candidate shares EvE/ADAM schedules).
-        SystemConfig mcfg;
-        mcfg.envName = "CartPole_v0";
-        mcfg.maxGenerations = 1; // deliberately stop before converged
-        mcfg.seed = 13;
-        mcfg.simulateHardware = false;
-        System msys(mcfg);
-        msys.run();
-        const auto &seed_genome = msys.population().bestGenome();
-        const auto &ncfg = msys.neatConfig();
-
-        auto envp = env::makeEnvironment("CartPole_v0");
-        env::EpisodeRunner runner(*envp, 777, 2);
-        auto fit = [&](const neat::Genome &g) {
-            return runner.evaluate(g, ncfg);
-        };
-
-        XorWow rng(14);
-        neat::WeightTunerConfig tc;
-        tc.iterations = 25;
-        neat::WeightTuner tuner(ncfg, tc);
-        const auto res = tuner.tune(seed_genome, fit, rng);
-
-        Table t("Ablation 4: NEAT topology search + ES weight tuning "
-                "(CartPole, topology frozen after 1 generation)");
-        t.setHeader({"stage", "fitness", "evaluations"});
-        t.addRow({"NEAT (1 generation)",
-                  Table::num(res.initialFitness, 3),
-                  Table::integer(1 * 150)});
-        t.addRow({"+ ES weight tuning", Table::num(res.bestFitness, 3),
-                  Table::integer(res.evaluations)});
-        t.print(std::cout);
-        std::cout << "Weight-only tuning recovers fitness without any "
-                     "backpropagation - the hybrid mode the paper "
-                     "sketches in Section VII.\n\n";
-    }
-
-    // --- Ablation 5: indirect (CPPN) vs direct genome encoding ---------------
-    {
-        // Section III-D1: HyperNEAT-style encodings shrink the Genome
-        // Buffer image of large policies.
-        const auto ccfg = nn::cppnNeatConfig();
-        neat::NodeIndexer idx(ccfg.numOutputs);
-        XorWow rng(15);
-        auto cppn = neat::Genome::createNew(0, ccfg, idx, rng);
-        for (int i = 0; i < 10; ++i)
-            cppn.mutate(ccfg, idx, rng);
-
-        Table t("Ablation 5: direct vs CPPN-indirect genome storage "
-                "in the Genome Buffer (bytes per individual)");
-        t.setHeader({"substrate (in-hidden-out)", "direct phenotype",
-                     "stored CPPN", "compression"});
-        struct Sub
-        {
-            int in;
-            int hidden;
-            int out;
-        };
-        for (const Sub s : {Sub{4, 8, 2}, Sub{24, 32, 4},
-                            Sub{128, 64, 18}}) {
-            nn::SubstrateConfig sub;
-            sub.inputs = s.in;
-            sub.outputs = s.out;
-            sub.hiddenLayers = {s.hidden};
-            const auto phenotype = nn::expandCppn(cppn, ccfg, sub);
-            const long direct = nn::phenotypeStoredBytes(phenotype);
-            const long stored = nn::cppnStoredBytes(cppn);
-            t.addRow({std::to_string(s.in) + "-" +
-                          std::to_string(s.hidden) + "-" +
-                          std::to_string(s.out),
-                      Table::integer(direct), Table::integer(stored),
-                      Table::num(static_cast<double>(direct) /
-                                     static_cast<double>(stored),
-                                 1) +
-                          "x"});
-        }
-        t.print(std::cout);
-        std::cout << "A fixed-size CPPN generates arbitrarily large "
-                     "policies: the Genome Buffer stores the recipe, "
-                     "not the network (Section III-D1 / HyperNEAT "
-                     "[16]).\n\n";
-    }
-
-    // --- Ablation 6: empirical ADAM cost-model cross-check -------------------
+    // --- Ablation 4: empirical ADAM cost-model cross-check -------------------
     {
         // The analytical ADAM model prices a forward pass in
         // systolic-array cycles at the paper's 200 MHz; the HwFaithful
@@ -330,7 +235,7 @@ main()
         // arithmetic does; a drifting band would mean the model is
         // mispricing some component (vectorize overhead, tile
         // fill/drain) relative to real MAC work.
-        Table t("Ablation 6: analytical ADAM cycles vs measured "
+        Table t("Ablation 4: analytical ADAM cycles vs measured "
                 "HwFaithful software tier (8-in 4-out dense genomes, "
                 "one forward pass)");
         t.setHeader({"hidden nodes", "model cycles", "measured ns",

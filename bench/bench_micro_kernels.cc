@@ -18,8 +18,8 @@
 #include "nn/compiled_plan.hh"
 #include "nn/hw_activations.hh"
 #include "nn/levelize.hh"
-#include "nn/recurrent.hh"
 #include "obs/telemetry.hh"
+#include "support/recurrent.hh"
 
 using namespace genesys;
 using namespace genesys::neat;
@@ -195,14 +195,14 @@ BENCHMARK(BM_NetworkActivate)->Arg(4)->Arg(24)->Arg(128);
 //
 //  * BM_EvalPath*: what a genome actually costs per generation in the
 //    engine — the per-genome phenotype work plus `steps` forward
-//    passes. The interpreter path is the seed hot path:
-//    FeedForwardNetwork::create per evaluation (env/runner.cc) plus
-//    the separate nn::levelize the System ran per genome for the
-//    hardware model (core/genesys.cc). The compiled path is one
-//    CompiledPlan::compile, cached per generation, whose schedule()
-//    replaces the levelize call outright. The Arg is the episode
-//    length; CartPole episodes run ~10-60 steps for most of a run
-//    (the 200-step cap is only reached by solved policies).
+//    passes. The interpreter path replays the original hot path:
+//    FeedForwardNetwork::create (the tests/support oracle) per
+//    evaluation plus a separate nn::levelize per genome for the
+//    hardware model. The compiled
+//    path is one CompiledPlan::compile, cached per generation, whose
+//    schedule() replaces the levelize call outright. The Arg is the
+//    episode length; CartPole episodes run ~10-60 steps for most of
+//    a run (the 200-step cap is only reached by solved policies).
 
 constexpr int kCmpInputs = 8;
 constexpr int kCmpHidden = 64;
@@ -812,7 +812,7 @@ assertWaveMatchesSerial(const WaveWorkload &w)
     FixedLengthEnv serial_env(w.cfg.numInputs);
     nn::PlanScratch pscratch;
     for (size_t i = 0; i < w.plans.size(); ++i) {
-        env::EpisodeRunner runner(serial_env, w.seeds[i], 1);
+        env::EpisodeRunner runner(serial_env);
         const auto expect =
             runner.runEpisode(w.plans[i], pscratch, w.seeds[i]);
         const auto &got = wave.episodes[i];
@@ -843,7 +843,7 @@ evalPathWaveSerial(benchmark::State &state, const WaveWorkload &w)
     nn::PlanScratch scratch;
     for (auto _ : state) {
         for (size_t i = 0; i < w.plans.size(); ++i) {
-            env::EpisodeRunner runner(env, w.seeds[i], 1);
+            env::EpisodeRunner runner(env);
             benchmark::DoNotOptimize(
                 runner.runEpisode(w.plans[i], scratch, w.seeds[i]));
         }

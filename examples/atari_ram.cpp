@@ -15,7 +15,7 @@
 #include "common/table.hh"
 #include "core/genesys.hh"
 #include "env/atari_ram.hh"
-#include "nn/feedforward.hh"
+#include "nn/compiled_plan.hh"
 
 using namespace genesys;
 
@@ -55,18 +55,21 @@ main(int argc, char **argv)
     }
     t.print(std::cout);
 
-    // Replay the champion and print its score trace.
+    // Replay the champion, in the numerics tier the run evolved it
+    // under, and print its score trace.
     const auto &best = sys.population().bestGenome();
-    const auto net =
-        nn::FeedForwardNetwork::create(best, sys.neatConfig());
+    const auto plan = nn::CompiledPlan::compileFor(best, sys.neatConfig(),
+                                                   sys.numericsTier());
+    nn::PlanScratch scratch;
     env::AtariRam env(variant);
     auto obs = env.reset(99);
     bool done = false;
     long last_score = 0;
     std::cout << "\nchampion replay:\n";
     while (!done) {
-        const auto action = env::decodeAction(env.actionSpace(),
-                                              net.activate(obs));
+        plan.activate(obs, scratch);
+        const auto action =
+            env::decodeAction(env.actionSpace(), scratch.outputs);
         const auto r = env.step(action);
         obs = r.observation;
         done = r.done;

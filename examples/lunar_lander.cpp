@@ -16,7 +16,7 @@
 #include "common/table.hh"
 #include "core/genesys.hh"
 #include "env/lunar_lander.hh"
-#include "nn/feedforward.hh"
+#include "nn/compiled_plan.hh"
 
 using namespace genesys;
 
@@ -85,10 +85,17 @@ main(int argc, char **argv)
 
     // Replay the champion on fresh initial conditions; visualize the
     // first successful descent (policies are stochastic-environment
-    // specialists, so also report the success rate).
+    // specialists, so also report the success rate). The replay runs
+    // in the numerics tier the run evolved under.
     const auto &best = sys.population().bestGenome();
-    const auto net =
-        nn::FeedForwardNetwork::create(best, sys.neatConfig());
+    const auto plan = nn::CompiledPlan::compileFor(best, sys.neatConfig(),
+                                                   sys.numericsTier());
+    nn::PlanScratch scratch;
+    auto policy = [&](const std::vector<double> &obs)
+        -> const std::vector<double> & {
+        plan.activate(obs, scratch);
+        return scratch.outputs;
+    };
     int landings = 0;
     uint64_t shown_seed = 0;
     for (uint64_t seed = 100; seed < 110; ++seed) {
@@ -96,8 +103,8 @@ main(int argc, char **argv)
         auto obs = probe.reset(seed);
         bool done = false;
         while (!done) {
-            const auto a = env::decodeAction(probe.actionSpace(),
-                                             net.activate(obs));
+            const auto a =
+                env::decodeAction(probe.actionSpace(), policy(obs));
             const auto r = probe.step(a);
             obs = r.observation;
             done = r.done;
@@ -117,7 +124,7 @@ main(int argc, char **argv)
     int frame = 0;
     while (!done) {
         const auto action =
-            env::decodeAction(env.actionSpace(), net.activate(obs));
+            env::decodeAction(env.actionSpace(), policy(obs));
         const auto r = env.step(action);
         if (frame % 30 == 0) {
             std::cout << "t=" << frame << "  x=" << Table::num(obs[0], 2)

@@ -373,7 +373,7 @@ System::replayBest(uint64_t seed)
     const auto plan = nn::CompiledPlan::compileFor(
         population_->bestGenome(), neatCfg_, numericsTier_);
     nn::PlanScratch scratch;
-    env::EpisodeRunner runner(*env_, seed, 1);
+    env::EpisodeRunner runner(*env_);
     return runner.runEpisode(plan, scratch, seed);
 }
 

@@ -16,113 +16,42 @@
 namespace genesys::env
 {
 
-namespace
-{
-
-/**
- * The episode loop, parameterized over the policy: `act(obs)` returns
- * the network outputs for one observation (by value for the
- * interpreter, by reference into the scratch for compiled plans).
- */
-template <typename ActFn>
-EpisodeResult
-runEpisodeWith(Environment &env, uint64_t seed, long macs_per_step,
-               ActFn &&act)
-{
-    EpisodeResult result;
-    const ActionSpace space = env.actionSpace();
-
-    std::vector<double> obs = env.reset(seed);
-    bool done = false;
-    while (!done) {
-        const std::vector<double> &outputs = act(obs);
-        const Action action = decodeAction(space, outputs);
-        StepResult sr = env.step(action);
-        obs = std::move(sr.observation);
-        done = sr.done;
-    }
-    result.cumulativeReward = env.cumulativeReward();
-    result.fitness = env.episodeFitness();
-    result.steps = env.stepsTaken();
-    result.inferences = result.steps; // one forward pass per step
-    result.macs = macs_per_step * result.inferences;
-    return result;
-}
-
-} // namespace
-
-EpisodeResult
-EpisodeRunner::runEpisode(const nn::FeedForwardNetwork &net, uint64_t seed)
-{
-    return runEpisodeWith(
-        *env_, seed, net.macsPerInference(),
-        [&net](const std::vector<double> &obs) {
-            return net.activate(obs);
-        });
-}
-
-EpisodeResult
-EpisodeRunner::runEpisode(nn::RecurrentNetwork &net, uint64_t seed)
-{
-    net.reset(); // episodes never share recurrent state
-    return runEpisodeWith(
-        *env_, seed, net.macsPerInference(),
-        [&net](const std::vector<double> &obs) {
-            return net.activate(obs);
-        });
-}
-
 EpisodeResult
 EpisodeRunner::runEpisode(const nn::CompiledPlan &plan,
                           nn::PlanScratch &scratch, uint64_t seed)
 {
     plan.reset(scratch); // clears recurrent state; no-op feed-forward
-    return runEpisodeWith(
-        *env_, seed, plan.macsPerInference(),
-        [&plan, &scratch](const std::vector<double> &obs)
-            -> const std::vector<double> & {
-            plan.activate(obs, scratch);
-            return scratch.outputs;
-        });
-}
+    const ActionSpace space = env_->actionSpace();
 
-double
-EpisodeRunner::evaluate(const neat::Genome &genome,
-                        const neat::NeatConfig &cfg)
-{
-    double total = 0.0;
-    auto accumulate = [&](auto &&episode) {
-        for (int e = 0; e < episodes_; ++e)
-            total += episode(deriveSeed(baseSeed_,
-                                        static_cast<uint64_t>(e)))
-                         .fitness;
-    };
-    if (cfg.feedForward) {
-        const auto net = nn::FeedForwardNetwork::create(genome, cfg);
-        accumulate([&](uint64_t s) { return runEpisode(net, s); });
-    } else {
-        auto net = nn::RecurrentNetwork::create(genome, cfg);
-        accumulate([&](uint64_t s) { return runEpisode(net, s); });
+    std::vector<double> obs = env_->reset(seed);
+    bool done = false;
+    while (!done) {
+        plan.activate(obs, scratch);
+        StepResult sr = env_->step(decodeAction(space, scratch.outputs));
+        obs = std::move(sr.observation);
+        done = sr.done;
     }
-    return total / static_cast<double>(episodes_);
+    EpisodeResult result;
+    result.cumulativeReward = env_->cumulativeReward();
+    result.fitness = env_->episodeFitness();
+    result.steps = env_->stepsTaken();
+    result.inferences = result.steps; // one forward pass per step
+    result.macs = plan.macsPerInference() * result.inferences;
+    return result;
 }
 
-namespace
-{
-
-/** Accumulate an EvalDetail: `episode(seed)` runs one episode. */
-template <typename EpisodeFn>
 EvalDetail
-evaluateDetailedWith(const std::vector<uint64_t> &episodeSeeds,
-                     EpisodeFn &&episode)
+EpisodeRunner::evaluateDetailed(const nn::CompiledPlan &plan,
+                                const std::vector<uint64_t> &episodeSeeds)
 {
     GENESYS_ASSERT(!episodeSeeds.empty(),
                    "evaluateDetailed needs at least one episode seed");
+    nn::PlanScratch scratch; // warmed once, reused by every episode
     EvalDetail detail;
     detail.episodes.reserve(episodeSeeds.size());
     double total = 0.0;
     for (uint64_t seed : episodeSeeds) {
-        EpisodeResult res = episode(seed);
+        EpisodeResult res = runEpisode(plan, scratch, seed);
         total += res.fitness;
         detail.inferences += res.inferences;
         detail.macs += res.macs;
@@ -132,35 +61,6 @@ evaluateDetailedWith(const std::vector<uint64_t> &episodeSeeds,
     }
     detail.fitness = total / static_cast<double>(episodeSeeds.size());
     return detail;
-}
-
-} // namespace
-
-EvalDetail
-EpisodeRunner::evaluateDetailed(const neat::Genome &genome,
-                                const neat::NeatConfig &cfg,
-                                const std::vector<uint64_t> &episodeSeeds)
-{
-    if (!cfg.feedForward) {
-        auto net = nn::RecurrentNetwork::create(genome, cfg);
-        return evaluateDetailedWith(episodeSeeds, [&](uint64_t seed) {
-            return runEpisode(net, seed);
-        });
-    }
-    const auto net = nn::FeedForwardNetwork::create(genome, cfg);
-    return evaluateDetailedWith(episodeSeeds, [&](uint64_t seed) {
-        return runEpisode(net, seed);
-    });
-}
-
-EvalDetail
-EpisodeRunner::evaluateDetailed(const nn::CompiledPlan &plan,
-                                const std::vector<uint64_t> &episodeSeeds)
-{
-    nn::PlanScratch scratch; // warmed once, reused by every episode
-    return evaluateDetailedWith(episodeSeeds, [&](uint64_t seed) {
-        return runEpisode(plan, scratch, seed);
-    });
 }
 
 EvalDetail

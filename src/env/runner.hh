@@ -9,13 +9,10 @@
 #ifndef GENESYS_ENV_RUNNER_HH
 #define GENESYS_ENV_RUNNER_HH
 
-#include <functional>
 #include <memory>
 
 #include "env/env.hh"
 #include "nn/compiled_plan.hh"
-#include "nn/feedforward.hh"
-#include "nn/recurrent.hh"
 
 namespace genesys::env
 {
@@ -54,100 +51,38 @@ struct EvalDetail
 };
 
 /**
- * Runs episodes of one environment. Episode seeds are derived from
- * (base seed, episode index) so evaluation is reproducible and every
- * genome in a generation sees the same episode set — the population
- * is ranked on a level playing field.
+ * Runs episodes of one environment through compiled plans. Every
+ * episode takes an explicit seed, so evaluation is reproducible and
+ * callers hand every genome in a generation the same episode set —
+ * the population is ranked on a level playing field.
  */
 class EpisodeRunner
 {
   public:
     /** Borrow an environment owned elsewhere. */
-    EpisodeRunner(Environment &env, uint64_t base_seed, int episodes = 1)
-        : env_(&env), baseSeed_(base_seed), episodes_(episodes)
-    {
-    }
+    explicit EpisodeRunner(Environment &env) : env_(&env) {}
 
     /**
-     * Own the environment outright — for callers that want a
-     * self-contained evaluator with no external environment to keep
-     * alive (the engine's per-worker shards use the borrowing form
-     * with exec::EnvPool instead). Episodes touch no state shared
-     * with other runners ("const-safe" with respect to everything
-     * but the owned environment).
-     */
-    EpisodeRunner(std::unique_ptr<Environment> env, uint64_t base_seed,
-                  int episodes = 1)
-        : owned_(std::move(env)), env_(owned_.get()),
-          baseSeed_(base_seed), episodes_(episodes)
-    {
-    }
-
-    /**
-     * Run one episode with an explicit seed through the feed-forward
-     * interpreter phenotype (the reference implementation).
-     */
-    EpisodeResult runEpisode(const nn::FeedForwardNetwork &net,
-                             uint64_t seed);
-
-    /**
-     * Run one episode through the recurrent interpreter (the
-     * reference for recurrent plans). The network state is reset at
-     * episode start, then each environment step advances one tick.
-     */
-    EpisodeResult runEpisode(nn::RecurrentNetwork &net, uint64_t seed);
-
-    /**
-     * Run one episode through a compiled plan — the fast path for
-     * both feed-forward and recurrent plans (recurrent state is reset
-     * at episode start and ticked per environment step). The plan is
-     * read-only shared state; all mutable evaluation state lives in
-     * `scratch`, so concurrent runners can share one plan.
-     * Bit-identical to the matching interpreter overload.
+     * Run one episode through a compiled plan, feed-forward or
+     * recurrent (recurrent state is reset at episode start and ticked
+     * per environment step). The plan is read-only shared state; all
+     * mutable evaluation state lives in `scratch`, so concurrent
+     * runners can share one plan.
      */
     EpisodeResult runEpisode(const nn::CompiledPlan &plan,
                              nn::PlanScratch &scratch, uint64_t seed);
 
     /**
-     * Evaluate a genome: mean fitness over the configured episode
-     * count, through the interpreter phenotype matching the config
-     * (feed-forward or recurrent).
-     */
-    double evaluate(const neat::Genome &genome,
-                    const neat::NeatConfig &cfg);
-
-    /**
-     * Evaluate a genome over explicit per-episode seeds, keeping the
-     * per-episode results and workload totals the hardware model
-     * needs. Reads only the genome/config and mutates only the
-     * runner's environment. Builds the interpreter phenotype for the
-     * config's mode — the reference path the compiled plans are
-     * diffed against.
-     */
-    EvalDetail evaluateDetailed(const neat::Genome &genome,
-                                const neat::NeatConfig &cfg,
-                                const std::vector<uint64_t> &episodeSeeds);
-
-    /**
-     * Evaluate an already-compiled plan over explicit per-episode
-     * seeds — the serial episode loop: one plan, many episodes, one
-     * scratch, zero phenotype rebuilds.
+     * Evaluate a compiled plan over explicit per-episode seeds — the
+     * serial episode loop: one plan, many episodes, one scratch, zero
+     * phenotype rebuilds. Keeps the per-episode results and workload
+     * totals the hardware model needs.
      */
     EvalDetail evaluateDetailed(const nn::CompiledPlan &plan,
                                 const std::vector<uint64_t> &episodeSeeds);
 
-    /** Change the episode seeds (e.g. per generation). */
-    void setBaseSeed(uint64_t s) { baseSeed_ = s; }
-
-    int episodes() const { return episodes_; }
-    Environment &environment() { return *env_; }
-    bool ownsEnvironment() const { return owned_ != nullptr; }
-
   private:
-    std::unique_ptr<Environment> owned_; ///< null when borrowing
     Environment *env_;
-    uint64_t baseSeed_;
-    int episodes_;
 };
 
 /**

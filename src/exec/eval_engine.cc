@@ -294,8 +294,7 @@ EvalEngine::evaluateOne(std::size_t item, int worker)
                 *out.plan, seeds, envs_.shard(worker),
                 batchScratch_[static_cast<std::size_t>(worker)]);
         } else {
-            env::EpisodeRunner runner(envs_.at(worker), seeds.front(),
-                                      cfg_.episodes);
+            env::EpisodeRunner runner(envs_.at(worker));
             out.detail = runner.evaluateDetailed(*out.plan, seeds);
         }
     } catch (...) {

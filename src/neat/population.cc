@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <limits>
 
 #include "common/check.hh"
@@ -123,20 +124,6 @@ Population::restore(PopulationSnapshot snapshot)
 }
 
 bool
-Population::step(const FitnessFn &fitness)
-{
-    // Scalar fallback: adapt to the batched path one genome at a
-    // time, preserving ascending-key evaluation order.
-    return stepBatch([&fitness](const std::vector<GenomeHandle> &batch) {
-        std::vector<double> out;
-        out.reserve(batch.size());
-        for (const GenomeHandle &h : batch)
-            out.push_back(fitness(*h.genome));
-        return out;
-    });
-}
-
-bool
 Population::stepBatch(const BatchFitnessFn &fitness)
 {
     return stepBatch(fitness, GenomeSink{});
@@ -162,6 +149,15 @@ Population::stepBatch(const BatchFitnessFn &fitness, const GenomeSink &sink)
                        "batch fitness returned "
                            << fits.size() << " values for "
                            << batch.size() << " genomes");
+        // Checked before any genome is touched: a NaN would break the
+        // strict weak ordering reproduction ranks species members
+        // with (UB in std::sort), and an infinity poisons the
+        // adjusted-fitness arithmetic.
+        for (size_t i = 0; i < batch.size(); ++i)
+            GENESYS_ASSERT(std::isfinite(fits[i]),
+                           "batch fitness returned non-finite value "
+                               << fits[i] << " for genome "
+                               << batch[i].key);
         for (size_t i = 0; i < batch.size(); ++i)
             population_.at(batch[i].key).setFitness(fits[i]);
     }
@@ -224,20 +220,6 @@ Population::stepBatch(const BatchFitnessFn &fitness, const GenomeSink &sink)
     dcheckSpeciesPartition(speciesSet_, population_);
     lastPhases_.speciateSeconds = seconds_since(s0);
     return false;
-}
-
-RunResult
-Population::run(const FitnessFn &fitness, int max_generations)
-{
-    return runBatch(
-        [&fitness](const std::vector<GenomeHandle> &batch) {
-            std::vector<double> out;
-            out.reserve(batch.size());
-            for (const GenomeHandle &h : batch)
-                out.push_back(fitness(*h.genome));
-            return out;
-        },
-        max_generations);
 }
 
 RunResult

@@ -43,9 +43,9 @@ struct GenerationStats
 };
 
 /**
- * Wall-clock of the serial evolution phases inside one step() /
- * stepBatch() call — the generation-barrier work during which the
- * evaluation lanes idle. Always measured (two steady_clock pairs per
+ * Wall-clock of the serial evolution phases inside one stepBatch()
+ * call — the generation-barrier work during which the evaluation
+ * lanes idle. Always measured (two steady_clock pairs per
  * generation, nowhere near a hot path); the span tracer additionally
  * records the same phases on the timeline when installed.
  */
@@ -103,23 +103,18 @@ struct RunResult
 /**
  * A NEAT population. Fitness evaluation is supplied by the caller as
  * a callback (in GeneSys, that callback is ADAM + the environment
- * instances; see core/genesys.hh). Two callback shapes exist: the
- * scalar FitnessFn (one genome at a time — the simple fallback) and
- * the batched BatchFitnessFn, which receives the whole unevaluated
- * generation at once so the caller can fan it out across workers
- * (exec::EvalEngine) the way GeneSys streams the population through
- * the PE array.
+ * instances; see core/genesys.hh). The callback receives the whole
+ * unevaluated generation at once so the caller can fan it out across
+ * workers (exec::EvalEngine) the way GeneSys streams the population
+ * through the PE array.
  */
 class Population
 {
   public:
-    /** Per-genome fitness function. */
-    using FitnessFn = std::function<double(const Genome &)>;
-
     /**
      * Whole-generation fitness function: receives every unevaluated
-     * genome (in ascending key order) and must return one fitness
-     * per handle, in the same order.
+     * genome (in ascending key order) and must return one finite
+     * fitness per handle, in the same order.
      */
     using BatchFitnessFn = std::function<std::vector<double>(
         const std::vector<GenomeHandle> &)>;
@@ -127,15 +122,12 @@ class Population
     Population(const NeatConfig &cfg, uint64_t seed);
 
     /**
-     * Evaluate the current generation, record stats, and — unless the
-     * fitness threshold is reached — breed the next generation.
-     * Returns true if the threshold was reached.
-     */
-    bool step(const FitnessFn &fitness);
-
-    /**
-     * Like step(), but hands the whole unevaluated generation to the
-     * callback in one batch (population-level parallelism).
+     * Evaluate the current generation in one batch (population-level
+     * parallelism), record stats, and — unless the fitness threshold
+     * is reached — breed the next generation. Returns true if the
+     * threshold was reached. A NaN or infinite fitness from the
+     * callback is rejected (GENESYS_ASSERT) before it reaches
+     * selection.
      */
     bool stepBatch(const BatchFitnessFn &fitness);
 
@@ -149,9 +141,6 @@ class Population
     bool stepBatch(const BatchFitnessFn &fitness, const GenomeSink &sink);
 
     /** Run up to `max_generations` steps or until solved. */
-    RunResult run(const FitnessFn &fitness, int max_generations);
-
-    /** Batched variant of run(). */
     RunResult runBatch(const BatchFitnessFn &fitness,
                        int max_generations);
 
@@ -167,7 +156,7 @@ class Population
     const std::vector<EvolutionTrace> &traces() const { return traces_; }
 
     /**
-     * Phase wall-clock of the most recent step()/stepBatch() call
+     * Phase wall-clock of the most recent stepBatch() call
      * (zeros when the step solved and bred nothing).
      */
     const StepPhaseTimes &lastStepPhases() const { return lastPhases_; }
@@ -178,7 +167,8 @@ class Population
 
     /**
      * Keep only the last `n` traces (bounds memory on long runs).
-     * Takes effect immediately and is enforced after every step().
+     * Takes effect immediately and is enforced after every
+     * stepBatch().
      */
     void
     setTraceWindow(size_t n)

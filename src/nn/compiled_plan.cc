@@ -107,8 +107,8 @@ indexOf(const CompileScratch &s, int num_inputs, int key)
  * only fixed overhead, so it avoids per-edge map lookups entirely.
  * The semantics are identical by contract (same required set, same
  * layers, same slot assignment, same per-node link order); the
- * differential fuzz harness diffs the result against the
- * map-based interpreter path bit-for-bit. Requires a structurally
+ * differential fuzz harness diffs the result against the map-based
+ * feed-forward interpreter oracle bit-for-bit. Requires a structurally
  * valid genome (no dangling connection endpoints — Genome::validate's
  * invariant).
  */
@@ -251,7 +251,7 @@ CompiledPlan::compile(const Genome &genome, const NeatConfig &cfg,
     const size_t num_waves = s.waveOffs.size() - 1;
 
     // --- lowering: slots, SoA node tables, CSR edges, schedule ------------
-    // Slot assignment matches FeedForwardNetwork::create: input key
+    // Slot assignment matches the feed-forward oracle: input key
     // -i-1 gets slot i, then layered nodes in emission order.
     s.slotOf.assign(static_cast<size_t>(num_vertices), -1);
     for (int i = 0; i < num_inputs; ++i)
@@ -335,7 +335,7 @@ CompiledPlan::compile(const Genome &genome, const NeatConfig &cfg,
 }
 
 /*
- * compileRecurrent() lowers RecurrentNetwork::create's structure to
+ * compileRecurrent() lowers the recurrent interpreter's structure to
  * the same flat arrays: no reachability pruning and no levelization —
  * every node gene updates every tick (cycles are well-defined because
  * reads come from the previous tick's double buffer), in ascending
@@ -361,7 +361,7 @@ CompiledPlan::compileRecurrent(const Genome &genome,
     const int num_vertices = static_cast<int>(s.keys.size());
     const int n_nodes = num_vertices - num_inputs;
 
-    // Slots match RecurrentNetwork::create: input key -i-1 gets slot
+    // Slots match the recurrent oracle: input key -i-1 gets slot
     // i, then every node gene in ascending key order. Vertex index v
     // therefore maps to slot (num_inputs - 1 - v) for inputs and to
     // its own index for nodes (both orderings are ascending-key).

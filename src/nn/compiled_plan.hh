@@ -14,21 +14,21 @@
  *
  * A plan is immutable after compile(), so it is safe to share
  * read-only across exec::EvalEngine workers; all mutable state lives
- * in the caller's PlanScratch / BatchScratch. Outputs are
- * bit-identical to the interpreter reference implementations
- * (FeedForwardNetwork / RecurrentNetwork): the plan preserves the
- * interpreter's node order, per-node link order and accumulation
- * order exactly, which the differential fuzz harnesses in
- * tests/test_compiled_plan.cc and tests/test_recurrent_plan.cc lock
- * down.
+ * in the caller's PlanScratch / BatchScratch. It is the library's
+ * only phenotype. Outputs are bit-identical to the feed-forward and
+ * recurrent interpreter oracles in tests/support: the plan preserves
+ * the interpreters' node order, per-node link order and accumulation
+ * order exactly, which the differential fuzz
+ * harnesses in tests/test_compiled_plan.cc and
+ * tests/test_recurrent_plan.cc lock down.
  *
  * Plans come in two modes, so every genome — acyclic or cyclic — runs
  * through the same execution substrate:
  *
  *  * Feed-forward (compile()): levelized layers, each activate() is
  *    one stateless forward pass. A genome containing cycles compiles
- *    to the same phenotype the feed-forward interpreter builds —
- *    cycle members never become "ready", so they (and everything
+ *    to the same phenotype the feed-forward oracle builds — cycle
+ *    members never become "ready", so they (and everything
  *    downstream) stay unevaluated and read as 0.
  *
  *  * Recurrent (compileRecurrent(), NeatConfig::feedForward ==
@@ -36,8 +36,7 @@
  *    tick's values, held in double-buffered prev/curr slot arrays in
  *    the scratch. activateRecurrent() advances one tick; reset()
  *    clears the state at episode boundaries. Bit-identical to the
- *    nn::RecurrentNetwork interpreter, which is kept as the
- *    differential reference.
+ *    recurrent interpreter oracle in tests/support.
  *
  * Both modes also expose a batched entry point (activateBatch):
  * one shared plan evaluated across N independent episode lanes, the
@@ -54,7 +53,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "nn/feedforward.hh"
 #include "nn/levelize.hh"
 #include "nn/numerics.hh"
 
@@ -171,8 +169,8 @@ class CompiledPlan
     /**
      * Lower `genome` (cycles allowed) into a flat recurrent plan:
      * every node gene updates each tick from the previous tick's
-     * values, matching nn::RecurrentNetwork bit for bit (Reference
-     * tier; HwFaithful quantizes as compile() does).
+     * values, matching the recurrent interpreter oracle bit for bit
+     * (Reference tier; HwFaithful quantizes as compile() does).
      */
     static CompiledPlan
     compileRecurrent(const Genome &genome, const NeatConfig &cfg,
@@ -224,9 +222,9 @@ class CompiledPlan
                            PlanScratch &scratch) const;
 
     /**
-     * Clear the recurrent state in `scratch` (start of an episode) —
-     * the plan-side mirror of RecurrentNetwork::reset. No-op for
-     * feed-forward plans, so episode loops may call it untyped.
+     * Clear the recurrent state in `scratch` (start of an episode).
+     * No-op for feed-forward plans, so episode loops may call it
+     * untyped.
      */
     void reset(PlanScratch &scratch) const;
 
@@ -268,10 +266,9 @@ class CompiledPlan
     }
 
     /**
-     * Multiply-accumulates per activate() call — counts every enabled
-     * inbound edge of an evaluated node, matching
-     * FeedForwardNetwork::macsPerInference (feed-forward) and
-     * RecurrentNetwork::macsPerInference (recurrent, per tick), and
+     * Multiply-accumulates per activate() call (per tick for
+     * recurrent plans) — counts every enabled inbound edge of an
+     * evaluated node, matching the interpreter oracles' counts and
      * the schedule's totalMacs.
      */
     long macsPerInference() const { return macs_; }

@@ -15,10 +15,10 @@ PlanCache::fingerprintOf(const neat::Genome &genome)
 {
     // O(1) digest: gene counts, the last key of each sorted array,
     // and weight-sensitive terms (last connection weight, last node
-    // bias) so a same-key genome whose attributes were rewritten
-    // (e.g. by WeightTuner) is caught too, not just structural
-    // divergence. Collisions across all terms are possible but
-    // vanishingly unlikely for the misuse this guards.
+    // bias) so a same-key genome whose attributes were rewritten in
+    // place is caught too, not just structural divergence. Collisions
+    // across all terms are possible but vanishingly unlikely for the
+    // misuse this guards.
     const auto &nk = genome.nodes().keys();
     const auto &ck = genome.connections().keys();
     uint64_t fp = (static_cast<uint64_t>(nk.size()) << 48) ^

@@ -1,4 +1,4 @@
-#include "nn/recurrent.hh"
+#include "support/recurrent.hh"
 
 #include <map>
 

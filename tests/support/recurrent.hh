@@ -1,6 +1,6 @@
 /**
  * @file
- * Recurrent phenotype: evaluates genomes whose graphs may contain
+ * Recurrent interpreter: evaluates genomes whose graphs may contain
  * cycles (NeatConfig::feedForward == false). Standard NEAT recurrent
  * semantics: every activate() advances the network one tick — each
  * node reads its inputs' values from the *previous* tick, so cycles
@@ -9,17 +9,17 @@
  * The paper's experiments use feed-forward genomes; recurrent support
  * is the natural extension for partially-observable environments.
  *
- * This interpreter is the *reference implementation*: production
- * evaluation lowers recurrent genomes to flat plans
- * (nn::CompiledPlan::compileRecurrent) that must match it bit for
- * bit, which tests/test_recurrent_plan.cc fuzzes — the same role
- * FeedForwardNetwork plays for feed-forward plans.
+ * This interpreter is the *reference oracle*: the library lowers
+ * recurrent genomes to flat plans (nn::CompiledPlan::compileRecurrent)
+ * that must match it bit for bit, which tests/test_recurrent_plan.cc
+ * fuzzes — the same role FeedForwardNetwork plays for feed-forward
+ * plans.
  */
 
-#ifndef GENESYS_NN_RECURRENT_HH
-#define GENESYS_NN_RECURRENT_HH
+#ifndef GENESYS_TESTS_SUPPORT_RECURRENT_HH
+#define GENESYS_TESTS_SUPPORT_RECURRENT_HH
 
-#include "nn/feedforward.hh"
+#include "support/feedforward.hh"
 
 namespace genesys::nn
 {
@@ -61,4 +61,4 @@ class RecurrentNetwork
 
 } // namespace genesys::nn
 
-#endif // GENESYS_NN_RECURRENT_HH
+#endif // GENESYS_TESTS_SUPPORT_RECURRENT_HH

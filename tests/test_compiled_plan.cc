@@ -26,6 +26,7 @@
 #include "common/rng.hh"
 #include "nn/compiled_plan.hh"
 #include "nn/levelize.hh"
+#include "support/feedforward.hh"
 
 using namespace genesys;
 using namespace genesys::neat;

@@ -16,6 +16,7 @@
 #include "env/runner.hh"
 #include "exec/eval_engine.hh"
 #include "nn/compiled_plan.hh"
+#include "support/oracle_episode.hh"
 
 using namespace genesys;
 using namespace genesys::exec;
@@ -89,8 +90,7 @@ TEST(EpisodeBatchTest, BatchedMatchesSerialAcrossWidths)
         const auto plan = nn::CompiledPlan::compileFor(g, cfg);
 
         auto serial_env = env::makeEnvironment("CartPole_v0");
-        env::EpisodeRunner runner(*serial_env, seeds.front(),
-                                  static_cast<int>(seeds.size()));
+        env::EpisodeRunner runner(*serial_env);
         const auto serial = runner.evaluateDetailed(plan, seeds);
 
         for (int width : {1, 2, 5, 8}) {
@@ -124,13 +124,10 @@ TEST(EpisodeBatchTest, RecurrentBatchedMatchesSerialAndInterpreter)
         ASSERT_TRUE(plan.isRecurrent());
 
         auto env1 = env::makeEnvironment("CartPole_v0");
-        env::EpisodeRunner interp_runner(*env1, seeds.front(),
-                                         static_cast<int>(seeds.size()));
-        const auto interp = interp_runner.evaluateDetailed(g, cfg, seeds);
+        const auto interp = env::evaluateOracle(*env1, g, cfg, seeds);
 
         auto env2 = env::makeEnvironment("CartPole_v0");
-        env::EpisodeRunner plan_runner(*env2, seeds.front(),
-                                       static_cast<int>(seeds.size()));
+        env::EpisodeRunner plan_runner(*env2);
         const auto serial = plan_runner.evaluateDetailed(plan, seeds);
         expectDetailIdentical(serial, interp);
 

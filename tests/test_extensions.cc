@@ -1,8 +1,7 @@
 /**
  * @file
  * Tests for the extension features: power/clock gating (Section VI-D
- * discussion), recurrent phenotypes, and the ES weight tuner (Future
- * Directions hybrid mode).
+ * discussion) and recurrent phenotypes.
  */
 
 #include <gtest/gtest.h>
@@ -10,9 +9,7 @@
 #include <cmath>
 
 #include "hw/energy_model.hh"
-#include "neat/population.hh"
-#include "neat/weight_tuner.hh"
-#include "nn/recurrent.hh"
+#include "support/recurrent.hh"
 
 using namespace genesys;
 using namespace genesys::neat;
@@ -209,136 +206,4 @@ TEST(Recurrent, FeedForwardFalseAllowsCyclesInMutation)
         }
     }
     EXPECT_TRUE(has_cycle);
-}
-
-// --- weight tuner --------------------------------------------------------------
-
-namespace
-{
-
-/** Quadratic bowl over the first connection weight: max at w = 2. */
-double
-bowlFitness(const Genome &g)
-{
-    const double w = g.connections().begin()->second.weight;
-    return -(w - 2.0) * (w - 2.0);
-}
-
-} // namespace
-
-TEST(WeightTuner, ClimbsAQuadraticBowl)
-{
-    NeatConfig cfg;
-    cfg.numInputs = 1;
-    cfg.numOutputs = 1;
-    NodeIndexer idx(cfg.numOutputs);
-    XorWow rng(6);
-    auto g = Genome::createNew(0, cfg, idx, rng);
-
-    WeightTunerConfig tc;
-    tc.iterations = 60;
-    WeightTuner tuner(cfg, tc);
-    const auto res = tuner.tune(g, bowlFitness, rng);
-
-    EXPECT_GT(res.bestFitness, res.initialFitness);
-    EXPECT_NEAR(res.best.connections().begin()->second.weight, 2.0,
-                0.1);
-    EXPECT_EQ(res.evaluations, 1 + tc.iterations * tc.offspring);
-}
-
-TEST(WeightTuner, PreservesTopology)
-{
-    NeatConfig cfg;
-    cfg.numInputs = 2;
-    cfg.numOutputs = 2;
-    NodeIndexer idx(cfg.numOutputs);
-    XorWow rng(7);
-    auto g = Genome::createNew(0, cfg, idx, rng);
-    g.mutateAddNode(cfg, idx, rng);
-
-    WeightTuner tuner(cfg);
-    const auto res = tuner.tune(
-        g, [](const Genome &) { return 0.0; }, rng);
-    EXPECT_EQ(res.best.numNodeGenes(), g.numNodeGenes());
-    EXPECT_EQ(res.best.numConnectionGenes(), g.numConnectionGenes());
-    for (const auto &[ck, cg] : g.connections())
-        EXPECT_TRUE(res.best.connections().count(ck));
-}
-
-TEST(WeightTuner, RespectsAttributeBounds)
-{
-    NeatConfig cfg;
-    cfg.numInputs = 1;
-    cfg.numOutputs = 1;
-    cfg.weight.minValue = -1.0;
-    cfg.weight.maxValue = 1.0;
-    NodeIndexer idx(cfg.numOutputs);
-    XorWow rng(8);
-    auto g = Genome::createNew(0, cfg, idx, rng);
-
-    WeightTunerConfig tc;
-    tc.sigma = 5.0; // violent perturbations
-    tc.iterations = 20;
-    WeightTuner tuner(cfg, tc);
-    // Reward large weights: the tuner should saturate at the bound.
-    const auto res = tuner.tune(
-        g,
-        [](const Genome &gg) {
-            return gg.connections().begin()->second.weight;
-        },
-        rng);
-    EXPECT_LE(res.best.connections().begin()->second.weight, 1.0);
-    EXPECT_NEAR(res.best.connections().begin()->second.weight, 1.0,
-                1e-9);
-}
-
-TEST(WeightTuner, ImprovesEvolvedXorSolution)
-{
-    // Topology-search-then-tune, the Future Directions hybrid: evolve
-    // XOR briefly, freeze the best topology, tune weights only.
-    NeatConfig cfg;
-    cfg.numInputs = 2;
-    cfg.numOutputs = 1;
-    cfg.populationSize = 80;
-    cfg.fitnessThreshold = 10.0; // never met: we want a partial genome
-
-    auto xor_fitness = [&cfg](const Genome &g) {
-        static const double xs[4][2] = {{0, 0}, {0, 1}, {1, 0}, {1, 1}};
-        static const double ys[4] = {0, 1, 1, 0};
-        const auto net = nn::FeedForwardNetwork::create(g, cfg);
-        double f = 4.0;
-        for (int i = 0; i < 4; ++i) {
-            const double e = net.activate({xs[i][0], xs[i][1]})[0] -
-                             ys[i];
-            f -= e * e;
-        }
-        return f;
-    };
-
-    Population pop(cfg, 9);
-    for (int i = 0; i < 8; ++i)
-        pop.step(xor_fitness);
-    const Genome seed = pop.bestGenome();
-
-    XorWow rng(10);
-    WeightTunerConfig tc;
-    tc.iterations = 40;
-    WeightTuner tuner(cfg, tc);
-    const auto res = tuner.tune(seed, xor_fitness, rng);
-    EXPECT_GE(res.bestFitness, res.initialFitness);
-}
-
-TEST(WeightTuner, DeterministicGivenRng)
-{
-    NeatConfig cfg;
-    cfg.numInputs = 1;
-    cfg.numOutputs = 1;
-    NodeIndexer idx(cfg.numOutputs);
-    XorWow grng(11);
-    auto g = Genome::createNew(0, cfg, idx, grng);
-    WeightTuner tuner(cfg);
-    XorWow r1(42), r2(42);
-    const auto a = tuner.tune(g, bowlFitness, r1);
-    const auto b = tuner.tune(g, bowlFitness, r2);
-    EXPECT_DOUBLE_EQ(a.bestFitness, b.bestFitness);
 }

@@ -10,6 +10,7 @@
 #include <cmath>
 
 #include "nn/levelize.hh"
+#include "support/feedforward.hh"
 
 using namespace genesys;
 using namespace genesys::neat;

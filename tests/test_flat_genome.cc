@@ -16,7 +16,7 @@
 #include "neat/flat_gene_map.hh"
 #include "neat/reproduction.hh"
 #include "nn/compiled_plan.hh"
-#include "nn/feedforward.hh"
+#include "support/feedforward.hh"
 
 using namespace genesys;
 using namespace genesys::neat;

@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "neat/population.hh"
-#include "nn/feedforward.hh"
+#include "nn/compiled_plan.hh"
+#include "support/per_genome.hh"
 
 using namespace genesys;
 using namespace genesys::neat;
@@ -39,14 +42,22 @@ xorFitness(const Genome &g, const NeatConfig &cfg)
 {
     static const double xs[4][2] = {{0, 0}, {0, 1}, {1, 0}, {1, 1}};
     static const double ys[4] = {0, 1, 1, 0};
-    const auto net = nn::FeedForwardNetwork::create(g, cfg);
+    const auto plan = nn::CompiledPlan::compile(g, cfg);
+    nn::PlanScratch scratch;
     double fitness = 4.0;
     for (int i = 0; i < 4; ++i) {
-        const auto out = net.activate({xs[i][0], xs[i][1]});
-        const double e = out[0] - ys[i];
+        plan.activate({xs[i][0], xs[i][1]}, scratch);
+        const double e = scratch.outputs[0] - ys[i];
         fitness -= e * e;
     }
     return fitness;
+}
+
+/** xorFitness over a whole generation, for Population::stepBatch. */
+Population::BatchFitnessFn
+xorBatch(const NeatConfig &cfg)
+{
+    return perGenome([&cfg](const Genome &g) { return xorFitness(g, cfg); });
 }
 
 } // namespace
@@ -64,7 +75,7 @@ TEST(Population, StepRecordsStats)
 {
     const auto cfg = xorConfig();
     Population pop(cfg, 2);
-    pop.step([&cfg](const Genome &g) { return xorFitness(g, cfg); });
+    pop.stepBatch(xorBatch(cfg));
     ASSERT_EQ(pop.history().size(), 1u);
     const auto &s = pop.history().front();
     EXPECT_EQ(s.generation, 0);
@@ -82,18 +93,22 @@ TEST(Population, SolvesXor)
     bool solved = false;
     for (uint64_t seed : {11ULL, 17ULL, 23ULL}) {
         Population pop(cfg, seed);
-        const auto result = pop.run(
-            [&cfg](const Genome &g) { return xorFitness(g, cfg); }, 150);
+        const auto result = pop.runBatch(xorBatch(cfg), 150);
         if (result.solved) {
             solved = true;
             EXPECT_GE(result.bestFitness, 3.9);
             // The solution must actually compute XOR.
-            const auto net =
-                nn::FeedForwardNetwork::create(result.bestGenome, cfg);
-            EXPECT_GT(net.activate({0, 1})[0], 0.5);
-            EXPECT_GT(net.activate({1, 0})[0], 0.5);
-            EXPECT_LT(net.activate({0, 0})[0], 0.5);
-            EXPECT_LT(net.activate({1, 1})[0], 0.5);
+            const auto plan =
+                nn::CompiledPlan::compile(result.bestGenome, cfg);
+            nn::PlanScratch scratch;
+            auto out = [&](double a, double b) {
+                plan.activate({a, b}, scratch);
+                return scratch.outputs[0];
+            };
+            EXPECT_GT(out(0, 1), 0.5);
+            EXPECT_GT(out(1, 0), 0.5);
+            EXPECT_LT(out(0, 0), 0.5);
+            EXPECT_LT(out(1, 1), 0.5);
             break;
         }
     }
@@ -104,10 +119,10 @@ TEST(Population, DeterministicGivenSeed)
 {
     const auto cfg = xorConfig();
     Population a(cfg, 99), b(cfg, 99);
-    auto fit = [&cfg](const Genome &g) { return xorFitness(g, cfg); };
+    const auto fit = xorBatch(cfg);
     for (int i = 0; i < 5; ++i) {
-        a.step(fit);
-        b.step(fit);
+        a.stepBatch(fit);
+        b.stepBatch(fit);
     }
     ASSERT_EQ(a.history().size(), b.history().size());
     for (size_t i = 0; i < a.history().size(); ++i) {
@@ -123,10 +138,10 @@ TEST(Population, DifferentSeedsDiverge)
 {
     const auto cfg = xorConfig();
     Population a(cfg, 1), b(cfg, 2);
-    auto fit = [&cfg](const Genome &g) { return xorFitness(g, cfg); };
+    const auto fit = xorBatch(cfg);
     for (int i = 0; i < 3; ++i) {
-        a.step(fit);
-        b.step(fit);
+        a.stepBatch(fit);
+        b.stepBatch(fit);
     }
     // Gene totals almost surely differ after mutations.
     EXPECT_NE(a.history().back().totalGenes,
@@ -137,9 +152,9 @@ TEST(Population, TracesMatchGenerations)
 {
     const auto cfg = xorConfig();
     Population pop(cfg, 3);
-    auto fit = [&cfg](const Genome &g) { return xorFitness(g, cfg); };
+    const auto fit = xorBatch(cfg);
     for (int i = 0; i < 4; ++i)
-        pop.step(fit);
+        pop.stepBatch(fit);
     // 4 steps of an unsolved run -> 4 reproduction events... unless
     // solved early; tolerate both but sizes must be consistent.
     EXPECT_EQ(pop.traces().size(),
@@ -153,9 +168,9 @@ TEST(Population, TraceWindowBoundsMemory)
     const auto cfg = xorConfig();
     Population pop(cfg, 4);
     pop.setTraceWindow(2);
-    auto fit = [&cfg](const Genome &g) { return xorFitness(g, cfg); };
+    const auto fit = xorBatch(cfg);
     for (int i = 0; i < 5; ++i)
-        pop.step(fit);
+        pop.stepBatch(fit);
     EXPECT_LE(pop.traces().size(), 2u);
 }
 
@@ -163,9 +178,9 @@ TEST(Population, GeneCountGrowsFromMinimalTopology)
 {
     const auto cfg = xorConfig();
     Population pop(cfg, 5);
-    auto fit = [&cfg](const Genome &g) { return xorFitness(g, cfg); };
+    const auto fit = xorBatch(cfg);
     for (int i = 0; i < 10; ++i)
-        pop.step(fit);
+        pop.stepBatch(fit);
     // Networks start minimal (Section III-B) and complexify
     // (Fig 4(b)).
     const long first = pop.history().front().totalGenes;
@@ -179,7 +194,8 @@ TEST(Population, AllGenomesEvaluatedEachGeneration)
     const auto cfg = xorConfig();
     Population pop(cfg, 6);
     int evals = 0;
-    pop.step([&](const Genome &) { return static_cast<double>(evals++); });
+    pop.stepBatch(
+        perGenome([&](const Genome &) { return static_cast<double>(evals++); }));
     EXPECT_EQ(evals, 150);
 }
 
@@ -189,7 +205,38 @@ TEST(Population, RunStopsAtThreshold)
     cfg.fitnessThreshold = 0.5;
     Population pop(cfg, 7);
     const auto result =
-        pop.run([](const Genome &) { return 1.0; }, 50);
+        pop.runBatch(perGenome([](const Genome &) { return 1.0; }), 50);
     EXPECT_TRUE(result.solved);
     EXPECT_EQ(result.generations, 1);
+}
+
+TEST(Population, NonFiniteBatchFitnessRejected)
+{
+    // A NaN would reach reproduction's species ranking (std::sort with
+    // a comparator NaN breaks) and an infinity its adjusted-fitness
+    // normalization; stepBatch must refuse both before setFitness.
+    const auto cfg = xorConfig();
+    for (const double bad : {std::nan(""), HUGE_VAL}) {
+        Population pop(cfg, 8);
+        // The last genome of the batch, so a half-applied batch would
+        // show as fitness on the genomes before it.
+        const int bad_key = pop.genomes().rbegin()->first;
+        const auto fitness = perGenome([&](const Genome &g) {
+            return g.key() == bad_key ? bad : 1.0;
+        });
+        try {
+            pop.stepBatch(fitness);
+            ADD_FAILURE() << "fitness " << bad << " accepted";
+        } catch (const std::logic_error &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("genome " + std::to_string(bad_key)),
+                      std::string::npos)
+                << msg;
+            EXPECT_NE(msg.find(bad > 0 ? "inf" : "nan"), std::string::npos)
+                << msg;
+        }
+        EXPECT_TRUE(pop.history().empty());
+        for (const auto &[key, g] : pop.genomes())
+            EXPECT_FALSE(g.hasFitness()) << "genome " << key;
+    }
 }

@@ -25,7 +25,7 @@
 #include "common/rng.hh"
 #include "nn/compiled_plan.hh"
 #include "nn/plan_cache.hh"
-#include "nn/recurrent.hh"
+#include "support/recurrent.hh"
 
 using namespace genesys;
 using namespace genesys::neat;

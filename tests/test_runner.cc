@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "env/cartpole.hh"
 #include "env/mountain_car.hh"
 #include "env/runner.hh"
@@ -62,12 +64,31 @@ TEST(EpisodeRunner, DeterministicEvaluation)
 {
     CartPole env;
     auto cfg = configForEnvironment(env);
+    cfg.weight.initStdev = 1.0; // non-trivial policy, varied episodes
     neat::NodeIndexer idx(cfg.numOutputs);
     XorWow rng(1);
     const auto g = neat::Genome::createNew(0, cfg, idx, rng);
+    const auto plan = nn::CompiledPlan::compileFor(g, cfg);
+    const std::vector<uint64_t> seeds{42, 43};
 
-    EpisodeRunner r1(env, 42, 2), r2(env, 42, 2);
-    EXPECT_DOUBLE_EQ(r1.evaluate(g, cfg), r2.evaluate(g, cfg));
+    // Two runners over one environment: an episode is a pure function
+    // of (plan, seed), whatever the environment ran before.
+    EpisodeRunner r1(env), r2(env);
+    const EvalDetail a = r1.evaluateDetailed(plan, seeds);
+    const EvalDetail b = r2.evaluateDetailed(plan, seeds);
+    EXPECT_EQ(a.fitness, b.fitness);
+    EXPECT_EQ(a.inferences, b.inferences);
+    EXPECT_EQ(a.macs, b.macs);
+    EXPECT_EQ(a.maxEpisodeSteps, b.maxEpisodeSteps);
+    ASSERT_EQ(a.episodes.size(), seeds.size());
+    ASSERT_EQ(b.episodes.size(), seeds.size());
+    double total = 0.0;
+    for (size_t e = 0; e < seeds.size(); ++e) {
+        EXPECT_EQ(a.episodes[e].fitness, b.episodes[e].fitness);
+        EXPECT_EQ(a.episodes[e].steps, b.episodes[e].steps);
+        total += a.episodes[e].fitness;
+    }
+    EXPECT_EQ(a.fitness, total / static_cast<double>(seeds.size()));
 }
 
 TEST(EpisodeRunner, CountsInferencesAndMacs)
@@ -77,12 +98,23 @@ TEST(EpisodeRunner, CountsInferencesAndMacs)
     neat::NodeIndexer idx(cfg.numOutputs);
     XorWow rng(2);
     const auto g = neat::Genome::createNew(0, cfg, idx, rng);
-    const auto net = nn::FeedForwardNetwork::create(g, cfg);
-    EpisodeRunner runner(env, 3, 1);
-    const auto res = runner.runEpisode(net, 17);
+    const auto plan = nn::CompiledPlan::compileFor(g, cfg);
+    EpisodeRunner runner(env);
+    nn::PlanScratch scratch;
+    const auto res = runner.runEpisode(plan, scratch, 17);
     EXPECT_EQ(res.inferences, res.steps);
-    EXPECT_EQ(res.macs, res.steps * net.macsPerInference());
+    EXPECT_EQ(res.macs, res.steps * plan.macsPerInference());
+    EXPECT_EQ(plan.macsPerInference(),
+              static_cast<long>(g.numConnectionGenes()));
     EXPECT_GT(res.steps, 0);
+
+    const EvalDetail d = runner.evaluateDetailed(plan, {17, 18});
+    ASSERT_EQ(d.episodes.size(), 2u);
+    EXPECT_EQ(d.episodes[0].steps, res.steps);
+    EXPECT_EQ(d.inferences, d.episodes[0].steps + d.episodes[1].steps);
+    EXPECT_EQ(d.macs, d.inferences * plan.macsPerInference());
+    EXPECT_EQ(d.maxEpisodeSteps,
+              std::max(d.episodes[0].steps, d.episodes[1].steps));
 }
 
 TEST(ConfigForEnvironment, MatchesSpaces)

@@ -117,7 +117,7 @@ TEST(WaveSchedulerTest, HeterogeneousWaveMatchesSerialAcrossWidths)
         for (size_t i = 0; i < plans.size(); ++i) {
             const uint64_t seed = 1000 + 17 * i;
             items.push_back({&plans[i], seed});
-            env::EpisodeRunner runner(*serial_env, seed, 1);
+            env::EpisodeRunner runner(*serial_env);
             nn::PlanScratch scratch;
             expect.push_back(
                 runner.runEpisode(plans[i], scratch, seed));
@@ -194,8 +194,7 @@ TEST(WaveSchedulerTest, SharedPlanLanesGroupIntoBatchedDispatch)
     size_t k = 0;
     for (size_t i = 0; i < plans.size(); ++i) {
         auto serial_env = env::makeEnvironment("CartPole_v0");
-        env::EpisodeRunner runner(*serial_env, seeds[i].front(),
-                                  static_cast<int>(seeds[i].size()));
+        env::EpisodeRunner runner(*serial_env);
         const auto serial = runner.evaluateDetailed(plans[i], seeds[i]);
         for (size_t e = 0; e < seeds[i].size(); ++e, ++k) {
             SCOPED_TRACE("plan " + std::to_string(i) + " episode " +
@@ -226,7 +225,7 @@ TEST(WaveSchedulerTest, EmptyAndUndersubscribedWaves)
     const auto wave = env::evaluateWave(items, lanes, scratch);
     ASSERT_EQ(wave.episodes.size(), 1u);
     auto serial_env = env::makeEnvironment("CartPole_v0");
-    env::EpisodeRunner runner(*serial_env, 5, 1);
+    env::EpisodeRunner runner(*serial_env);
     nn::PlanScratch pscratch;
     expectEpisodeIdentical(wave.episodes[0],
                            runner.runEpisode(plan, pscratch, 5));
