@@ -712,34 +712,29 @@ class FixedLengthEnv final : public env::Environment
     int maxSteps() const override { return 120; }
     double targetFitness() const override { return 1e18; }
 
-    std::vector<double>
-    reset(uint64_t seed) override
+  private:
+    void
+    doReset(uint64_t seed, std::span<double> obs) override
     {
         resetBookkeeping();
         rng_ = XorWow(seed ^ 0xF17Eull);
         length_ = 40 + static_cast<int>(seed % 81);
-        return observe();
+        observe(obs);
     }
 
-    env::StepResult
-    step(const env::Action &) override
+    env::StepOutcome
+    doStep(const env::Action &, std::span<double> obs) override
     {
         accumulate(1.0);
-        env::StepResult sr;
-        sr.reward = 1.0;
-        sr.done = stepsTaken_ >= length_;
-        sr.observation = observe();
-        return sr;
+        observe(obs);
+        return {1.0, stepsTaken_ >= length_};
     }
 
-  private:
-    std::vector<double>
-    observe()
+    void
+    observe(std::span<double> obs)
     {
-        std::vector<double> obs(static_cast<size_t>(inputs_));
         for (auto &x : obs)
             x = rng_.uniform(-1.0, 1.0);
-        return obs;
     }
 
     int inputs_;
@@ -1353,5 +1348,52 @@ BM_TelemetryOverheadOn(benchmark::State &state)
     telemetryOverheadBench(state, true);
 }
 BENCHMARK(BM_TelemetryOverheadOn);
+
+// --- environment step alone -------------------------------------------------
+//
+// One environment step per iteration through the span entry point,
+// driven by a pre-generated random action tape so neither a policy
+// nor action decoding is timed. A finished episode resets with the
+// next seed inside the loop, so the time per step includes the
+// amortized episode reset, as it does in the episode loops.
+
+static void
+BM_EnvStep(benchmark::State &state, const std::string &envName)
+{
+    constexpr size_t kTape = 4096;
+    auto env = env::makeEnvironment(envName);
+    const env::ActionSpace space = env->actionSpace();
+    XorWow rng(21);
+    std::vector<env::Action> tape(kTape);
+    for (env::Action &a : tape) {
+        if (space.kind == env::ActionSpace::Kind::Discrete) {
+            a.discrete = static_cast<int>(
+                rng.uniformInt(static_cast<uint32_t>(space.n)));
+        } else {
+            for (int i = 0; i < space.n; ++i)
+                a.continuous.push_back(rng.uniform(space.low, space.high));
+        }
+    }
+    std::vector<double> obs(static_cast<size_t>(env->observationSize()));
+    uint64_t seed = 1;
+    env->reset(seed, obs);
+    size_t k = 0;
+    for (auto _ : state) {
+        const env::StepOutcome r = env->step(tape[k], obs);
+        benchmark::DoNotOptimize(r);
+        benchmark::DoNotOptimize(obs.data());
+        benchmark::ClobberMemory();
+        if (r.done)
+            env->reset(++seed, obs);
+        k = (k + 1) % kTape;
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK_CAPTURE(BM_EnvStep, CartPole, std::string("CartPole_v0"));
+BENCHMARK_CAPTURE(BM_EnvStep, MountainCar, std::string("MountainCar_v0"));
+BENCHMARK_CAPTURE(BM_EnvStep, Acrobot, std::string("Acrobot"));
+BENCHMARK_CAPTURE(BM_EnvStep, LunarLander, std::string("LunarLander_v2"));
+BENCHMARK_CAPTURE(BM_EnvStep, Bipedal, std::string("Bipedal"));
+BENCHMARK_CAPTURE(BM_EnvStep, AirRaid, std::string("AirRaid-ram-v0"));
 
 BENCHMARK_MAIN();

@@ -12,6 +12,7 @@
 #define GENESYS_COMMON_FIXED_POINT_HH
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 namespace genesys
@@ -33,6 +34,12 @@ namespace genesys
  * unchanged through both. The final `+ 0.0` normalizes -0.0 to +0.0
  * so a quantized zero always carries the same bit pattern decode()
  * produces — the digests fold raw bits.
+ *
+ * Non-finite inputs follow FixedPointCodec::encode: ±inf (and any
+ * finite overflow) saturate at the rails, NaN maps to 0. The clamp
+ * puts the rail first in each std::min/std::max, so a NaN operand
+ * selects the rail instead of surviving, and one select then maps
+ * NaN to zero — still branch-free.
  */
 struct FixedPointQuantizer
 {
@@ -45,7 +52,8 @@ struct FixedPointQuantizer
     {
         constexpr double magic = 6755399441055744.0; // 1.5 * 2^52
         double raw = (v * scale + magic) - magic;
-        raw = std::min(std::max(raw, minRaw), maxRaw);
+        raw = std::min(maxRaw, std::max(minRaw, raw));
+        raw = std::isnan(v) ? 0.0 : raw;
         return raw * invScale + 0.0;
     }
 };

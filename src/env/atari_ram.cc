@@ -8,6 +8,23 @@
 namespace genesys::env
 {
 
+namespace
+{
+
+/** byte / 255.0 for every byte value: the RAM observation scale. */
+std::array<double, 256>
+byteScaleTable()
+{
+    std::array<double, 256> t{};
+    for (size_t b = 0; b < t.size(); ++b)
+        t[b] = static_cast<double>(b) / 255.0;
+    return t;
+}
+
+const std::array<double, 256> kByteScale = byteScaleTable();
+
+} // namespace
+
 const std::string &
 atariVariantName(AtariVariant v)
 {
@@ -54,8 +71,8 @@ AtariRam::targetScore() const
     return 120.0;
 }
 
-std::vector<double>
-AtariRam::reset(uint64_t seed)
+void
+AtariRam::doReset(uint64_t seed, std::span<double> obs)
 {
     // Per-variant stream so each game plays out differently even
     // with the same seed.
@@ -86,7 +103,7 @@ AtariRam::reset(uint64_t seed)
     fireCooldown_ = 0;
     resetBookkeeping();
     refreshRam();
-    return observation();
+    writeObservation(obs);
 }
 
 void
@@ -138,8 +155,8 @@ AtariRam::moveEnemies()
     }
 }
 
-StepResult
-AtariRam::step(const Action &action)
+StepOutcome
+AtariRam::doStep(const Action &action, std::span<double> obs)
 {
     GENESYS_ASSERT(!done_, "step() after episode end");
     const int n_actions = actionSpace().n;
@@ -237,11 +254,8 @@ AtariRam::step(const Action &action)
     done_ = dead_ || stepsTaken_ >= maxSteps();
 
     refreshRam();
-    StepResult r;
-    r.observation = observation();
-    r.reward = reward;
-    r.done = done_;
-    return r;
+    writeObservation(obs);
+    return {reward, done_};
 }
 
 void
@@ -281,14 +295,11 @@ AtariRam::refreshRam()
     }
 }
 
-std::vector<double>
-AtariRam::observation() const
+void
+AtariRam::writeObservation(std::span<double> obs) const
 {
-    std::vector<double> obs;
-    obs.reserve(128);
-    for (uint8_t b : ram_)
-        obs.push_back(static_cast<double>(b) / 255.0);
-    return obs;
+    for (size_t i = 0; i < ram_.size(); ++i)
+        obs[i] = kByteScale[ram_[i]];
 }
 
 double

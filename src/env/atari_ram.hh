@@ -49,8 +49,6 @@ class AtariRam : public Environment
     double episodeFitness() const override;
     double targetFitness() const override { return 1.0; }
 
-    std::vector<double> reset(uint64_t seed) override;
-    StepResult step(const Action &action) override;
 
     long score() const { return score_; }
     bool dead() const { return dead_; }
@@ -66,7 +64,11 @@ class AtariRam : public Environment
 
   private:
     void refreshRam();
-    std::vector<double> observation() const;
+    void doReset(uint64_t seed, std::span<double> obs) override;
+    StepOutcome doStep(const Action &action,
+                       std::span<double> obs) override;
+    /** Write the current state's observation into `obs`. */
+    void writeObservation(std::span<double> obs) const;
     void moveEnemies();
     double targetScore() const;
 

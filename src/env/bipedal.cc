@@ -1,12 +1,35 @@
 #include "env/bipedal.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/logging.hh"
 
 namespace genesys::env
 {
+
+namespace
+{
+
+constexpr size_t kLidarRays = 10;
+
+/** Cosine of each lidar ray's angle from vertical (the rays are fixed). */
+std::array<double, kLidarRays>
+lidarRayCosines()
+{
+    std::array<double, kLidarRays> c{};
+    for (size_t i = 0; i < kLidarRays; ++i) {
+        const double ray =
+            0.15 + 1.2 * static_cast<double>(i) / 9.0; // from vertical
+        c[i] = std::cos(std::min(ray, 1.45));
+    }
+    return c;
+}
+
+const std::array<double, kLidarRays> kLidarRayCos = lidarRayCosines();
+
+} // namespace
 
 const std::string &
 BipedalWalker::name() const
@@ -15,8 +38,8 @@ BipedalWalker::name() const
     return n;
 }
 
-std::vector<double>
-BipedalWalker::reset(uint64_t seed)
+void
+BipedalWalker::doReset(uint64_t seed, std::span<double> obs)
 {
     XorWow rng(seed);
     x_ = 0.0;
@@ -34,7 +57,7 @@ BipedalWalker::reset(uint64_t seed)
     done_ = false;
     torqueUsed_ = 0.0;
     resetBookkeeping();
-    return observation();
+    writeObservation(obs);
 }
 
 double
@@ -45,38 +68,32 @@ BipedalWalker::footY(int leg) const
     return y_ - thigh_ * std::cos(a1) - shank_ * std::cos(a2);
 }
 
-std::vector<double>
-BipedalWalker::observation() const
+void
+BipedalWalker::writeObservation(std::span<double> obs) const
 {
-    std::vector<double> obs;
-    obs.reserve(24);
     // Hull state (gym layout: angle, angular vel, vx, vy).
-    obs.push_back(angle_);
-    obs.push_back(vAngle_);
-    obs.push_back(vx_);
-    obs.push_back(vy_);
+    obs[0] = angle_;
+    obs[1] = vAngle_;
+    obs[2] = vx_;
+    obs[3] = vy_;
     // Joints + contact per leg.
-    for (int l = 0; l < 2; ++l) {
-        obs.push_back(hip_[l]);
-        obs.push_back(hipV_[l]);
-        obs.push_back(knee_[l]);
-        obs.push_back(kneeV_[l]);
-        obs.push_back(contact_[l] ? 1.0 : 0.0);
+    for (size_t l = 0; l < 2; ++l) {
+        obs[4 + 5 * l] = hip_[l];
+        obs[5 + 5 * l] = hipV_[l];
+        obs[6 + 5 * l] = knee_[l];
+        obs[7 + 5 * l] = kneeV_[l];
+        obs[8 + 5 * l] = contact_[l] ? 1.0 : 0.0;
     }
     // 10 lidar rays fanned ahead-and-down; terrain is flat, so the
     // ranges are a function of hull height and ray angle.
-    for (int i = 0; i < 10; ++i) {
-        const double ray =
-            0.15 + 1.2 * static_cast<double>(i) / 9.0; // from vertical
-        const double c = std::cos(std::min(ray, 1.45));
-        const double range = c > 0.05 ? std::min(y_ / c, 2.5) : 2.5;
-        obs.push_back(range);
+    for (size_t i = 0; i < kLidarRays; ++i) {
+        const double c = kLidarRayCos[i];
+        obs[14 + i] = c > 0.05 ? std::min(y_ / c, 2.5) : 2.5;
     }
-    return obs;
 }
 
-StepResult
-BipedalWalker::step(const Action &action)
+StepOutcome
+BipedalWalker::doStep(const Action &action, std::span<double> obs)
 {
     GENESYS_ASSERT(!done_, "step() after episode end");
     GENESYS_ASSERT(action.continuous.size() >= 4,
@@ -157,11 +174,8 @@ BipedalWalker::step(const Action &action)
     accumulate(reward);
     done_ = fell_ || x_ >= goalDistance_ || stepsTaken_ >= maxSteps();
 
-    StepResult r;
-    r.observation = observation();
-    r.reward = reward;
-    r.done = done_;
-    return r;
+    writeObservation(obs);
+    return {reward, done_};
 }
 
 double

@@ -38,14 +38,16 @@ class BipedalWalker : public Environment
     double episodeFitness() const override;
     double targetFitness() const override { return 1.0; }
 
-    std::vector<double> reset(uint64_t seed) override;
-    StepResult step(const Action &action) override;
 
     double hullX() const { return x_; }
     bool fell() const { return fell_; }
 
   private:
-    std::vector<double> observation() const;
+    void doReset(uint64_t seed, std::span<double> obs) override;
+    StepOutcome doStep(const Action &action,
+                       std::span<double> obs) override;
+    /** Write the current state's observation into `obs`. */
+    void writeObservation(std::span<double> obs) const;
     /** Foot height above ground for a leg (kinematics). */
     double footY(int leg) const;
 

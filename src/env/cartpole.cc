@@ -14,8 +14,8 @@ CartPole::name() const
     return n;
 }
 
-std::vector<double>
-CartPole::reset(uint64_t seed)
+void
+CartPole::doReset(uint64_t seed, std::span<double> obs)
 {
     XorWow rng(seed);
     x_ = rng.uniform(-0.05, 0.05);
@@ -24,17 +24,20 @@ CartPole::reset(uint64_t seed)
     thetaDot_ = rng.uniform(-0.05, 0.05);
     done_ = false;
     resetBookkeeping();
-    return observation();
+    writeObservation(obs);
 }
 
-std::vector<double>
-CartPole::observation() const
+void
+CartPole::writeObservation(std::span<double> obs) const
 {
-    return {x_, xDot_, theta_, thetaDot_};
+    obs[0] = x_;
+    obs[1] = xDot_;
+    obs[2] = theta_;
+    obs[3] = thetaDot_;
 }
 
-StepResult
-CartPole::step(const Action &action)
+StepOutcome
+CartPole::doStep(const Action &action, std::span<double> obs)
 {
     GENESYS_ASSERT(!done_, "step() after episode end");
 
@@ -59,8 +62,8 @@ CartPole::step(const Action &action)
     theta_ += tau_ * thetaDot_;
     thetaDot_ += tau_ * theta_acc;
 
-    StepResult r;
-    r.observation = observation();
+    StepOutcome r;
+    writeObservation(obs);
     const bool failed = x_ < -xThreshold_ || x_ > xThreshold_ ||
                         theta_ < -thetaThreshold_ ||
                         theta_ > thetaThreshold_;

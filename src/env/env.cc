@@ -7,15 +7,45 @@
 namespace genesys::env
 {
 
-Action
-decodeAction(const ActionSpace &space, const std::vector<double> &outputs)
+void
+Environment::checkObservationSpan(std::span<const double> obs) const
+{
+    GENESYS_ASSERT(obs.size() == static_cast<size_t>(observationSize()),
+                   name() << " writes " << observationSize()
+                          << " observation values into a span of "
+                          << obs.size());
+}
+
+std::vector<double>
+Environment::reset(uint64_t seed)
+{
+    std::vector<double> obs(static_cast<size_t>(observationSize()));
+    reset(seed, obs);
+    return obs;
+}
+
+StepResult
+Environment::step(const Action &action)
+{
+    StepResult r;
+    r.observation.resize(static_cast<size_t>(observationSize()));
+    const StepOutcome s = step(action, r.observation);
+    r.reward = s.reward;
+    r.done = s.done;
+    return r;
+}
+
+void
+decodeAction(const ActionSpace &space, std::span<const double> outputs,
+             Action &out)
 {
     GENESYS_ASSERT(!outputs.empty(), "cannot decode empty output vector");
-    Action a;
+    out.discrete = 0;
+    out.continuous.clear();
     if (space.kind == ActionSpace::Kind::Discrete) {
         if (space.n == 2 && outputs.size() == 1) {
-            a.discrete = outputs[0] > 0.5 ? 1 : 0;
-            return a;
+            out.discrete = outputs[0] > 0.5 ? 1 : 0;
+            return;
         }
         GENESYS_ASSERT(outputs.size() >= static_cast<size_t>(space.n),
                        "need " << space.n << " outputs, got "
@@ -27,22 +57,29 @@ decodeAction(const ActionSpace &space, const std::vector<double> &outputs)
                 best = i;
             }
         }
-        a.discrete = best;
+        out.discrete = best;
     } else {
         GENESYS_ASSERT(outputs.size() >= static_cast<size_t>(space.n),
                        "need " << space.n << " outputs, got "
                                << outputs.size());
-        a.continuous.reserve(static_cast<size_t>(space.n));
+        out.continuous.reserve(static_cast<size_t>(space.n));
         for (int i = 0; i < space.n; ++i) {
             // Map a [0,1]-ish output onto [low, high]; values already
             // outside [0,1] (e.g. tanh outputs) are clamped after the
             // affine map from [0,1].
             const double v = outputs[static_cast<size_t>(i)];
             const double mapped = space.low + (space.high - space.low) * v;
-            a.continuous.push_back(
+            out.continuous.push_back(
                 std::clamp(mapped, space.low, space.high));
         }
     }
+}
+
+Action
+decodeAction(const ActionSpace &space, const std::vector<double> &outputs)
+{
+    Action a;
+    decodeAction(space, outputs, a);
     return a;
 }
 

@@ -10,6 +10,7 @@
 #define GENESYS_ENV_ENV_HH
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,7 +43,14 @@ struct Action
     std::vector<double> continuous;
 };
 
-/** One simulation step's outcome. */
+/** What one step reports besides the observation it writes. */
+struct StepOutcome
+{
+    double reward = 0.0;
+    bool done = false;
+};
+
+/** One simulation step's outcome, observation included (adaptor form). */
 struct StepResult
 {
     std::vector<double> observation;
@@ -53,6 +61,15 @@ struct StepResult
 /**
  * Abstract environment. Implementations are deterministic given the
  * seed passed to reset().
+ *
+ * Observations are written into a caller-owned span of exactly
+ * observationSize() elements, so an episode loop that keeps its
+ * buffers steps without touching the heap. Each environment
+ * implements the two private hooks doReset/doStep once; the public
+ * span entry points check the span size and forward to them. The
+ * vector-returning reset(seed)/step(action) are thin adaptors over
+ * the same hooks for callers that want a value (tests, one-off
+ * replays); they allocate per call.
  */
 class Environment
 {
@@ -76,11 +93,33 @@ class Environment
     /** Episode step cap. */
     virtual int maxSteps() const = 0;
 
-    /** Start a new episode; returns the initial observation. */
-    virtual std::vector<double> reset(uint64_t seed) = 0;
+    /**
+     * Start a new episode, writing the initial observation into `obs`
+     * (observationSize() elements).
+     */
+    void
+    reset(uint64_t seed, std::span<double> obs)
+    {
+        checkObservationSpan(obs);
+        doReset(seed, obs);
+    }
 
-    /** Advance one step. Calling after done is an error. */
-    virtual StepResult step(const Action &action) = 0;
+    /**
+     * Advance one step, writing the next observation into `obs`
+     * (observationSize() elements). Calling after done is an error.
+     */
+    StepOutcome
+    step(const Action &action, std::span<double> obs)
+    {
+        checkObservationSpan(obs);
+        return doStep(action, obs);
+    }
+
+    /** Adaptor: reset(seed, obs) into a fresh vector. */
+    std::vector<double> reset(uint64_t seed);
+
+    /** Adaptor: step(action, obs) into a fresh StepResult. */
+    StepResult step(const Action &action);
 
     /**
      * Fitness of the episode so far. Defaults to the cumulative
@@ -98,7 +137,7 @@ class Environment
     int stepsTaken() const { return stepsTaken_; }
 
   protected:
-    /** Book-keeping helper for subclasses' step() implementations. */
+    /** Book-keeping helper for subclasses' doStep() implementations. */
     void
     accumulate(double reward)
     {
@@ -115,15 +154,31 @@ class Environment
 
     double cumulativeReward_ = 0.0;
     int stepsTaken_ = 0;
+
+  private:
+    /** The environment's reset: re-seed the episode, write obs. */
+    virtual void doReset(uint64_t seed, std::span<double> obs) = 0;
+
+    /** The environment's step: apply `action`, write obs. */
+    virtual StepOutcome doStep(const Action &action,
+                               std::span<double> obs) = 0;
+
+    /** Panics unless `obs` holds exactly observationSize() elements. */
+    void checkObservationSpan(std::span<const double> obs) const;
 };
 
 /**
- * Decode raw network outputs into an environment action:
+ * Decode raw network outputs into `out`, reusing its storage (a
+ * warmed Action decodes continuous actions without allocating):
  *  - Discrete n==2 with one output: threshold at 0.5.
  *  - Discrete: argmax over n outputs.
  *  - Continuous: clamp each output into [low, high] (outputs in
  *    [0,1] from sigmoid-style activations are rescaled).
  */
+void decodeAction(const ActionSpace &space,
+                  std::span<const double> outputs, Action &out);
+
+/** Adaptor: decodeAction into a fresh Action. */
 Action decodeAction(const ActionSpace &space,
                     const std::vector<double> &outputs);
 

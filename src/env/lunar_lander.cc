@@ -15,8 +15,8 @@ LunarLander::name() const
     return n;
 }
 
-std::vector<double>
-LunarLander::reset(uint64_t seed)
+void
+LunarLander::doReset(uint64_t seed, std::span<double> obs)
 {
     XorWow rng(seed);
     x_ = rng.uniform(-0.4, 0.4);
@@ -31,17 +31,22 @@ LunarLander::reset(uint64_t seed)
     restSteps_ = 0;
     resetBookkeeping();
     prevShaping_ = shaping();
-    return observation();
+    writeObservation(obs);
 }
 
-std::vector<double>
-LunarLander::observation() const
+void
+LunarLander::writeObservation(std::span<double> obs) const
 {
     // Gym layout: x, y, vx, vy, angle, angular velocity, leg
     // contacts.
-    return {x_,      y_,      vx_,
-            vy_,     angle_,  vAngle_,
-            legLeft_ ? 1.0 : 0.0, legRight_ ? 1.0 : 0.0};
+    obs[0] = x_;
+    obs[1] = y_;
+    obs[2] = vx_;
+    obs[3] = vy_;
+    obs[4] = angle_;
+    obs[5] = vAngle_;
+    obs[6] = legLeft_ ? 1.0 : 0.0;
+    obs[7] = legRight_ ? 1.0 : 0.0;
 }
 
 double
@@ -54,8 +59,8 @@ LunarLander::shaping() const
            10.0 * (legRight_ ? 1.0 : 0.0);
 }
 
-StepResult
-LunarLander::step(const Action &action)
+StepOutcome
+LunarLander::doStep(const Action &action, std::span<double> obs)
 {
     GENESYS_ASSERT(!done_, "step() after episode end");
     GENESYS_ASSERT(action.discrete >= 0 && action.discrete < 4,
@@ -142,11 +147,8 @@ LunarLander::step(const Action &action)
     accumulate(reward);
     done_ = landed_ || crashed_ || stepsTaken_ >= maxSteps();
 
-    StepResult r;
-    r.observation = observation();
-    r.reward = reward;
-    r.done = done_;
-    return r;
+    writeObservation(obs);
+    return {reward, done_};
 }
 
 double

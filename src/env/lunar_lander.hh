@@ -38,14 +38,16 @@ class LunarLander : public Environment
     double episodeFitness() const override;
     double targetFitness() const override { return 1.0; }
 
-    std::vector<double> reset(uint64_t seed) override;
-    StepResult step(const Action &action) override;
 
     bool landed() const { return landed_; }
     bool crashed() const { return crashed_; }
 
   private:
-    std::vector<double> observation() const;
+    void doReset(uint64_t seed, std::span<double> obs) override;
+    StepOutcome doStep(const Action &action,
+                       std::span<double> obs) override;
+    /** Write the current state's observation into `obs`. */
+    void writeObservation(std::span<double> obs) const;
     double shaping() const;
 
     // State: position, velocity, attitude, leg contacts.

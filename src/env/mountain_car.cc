@@ -15,8 +15,8 @@ MountainCar::name() const
     return n;
 }
 
-std::vector<double>
-MountainCar::reset(uint64_t seed)
+void
+MountainCar::doReset(uint64_t seed, std::span<double> obs)
 {
     XorWow rng(seed);
     position_ = rng.uniform(-0.6, -0.4);
@@ -25,11 +25,18 @@ MountainCar::reset(uint64_t seed)
     reachedGoal_ = false;
     done_ = false;
     resetBookkeeping();
-    return {position_, velocity_};
+    writeObservation(obs);
 }
 
-StepResult
-MountainCar::step(const Action &action)
+void
+MountainCar::writeObservation(std::span<double> obs) const
+{
+    obs[0] = position_;
+    obs[1] = velocity_;
+}
+
+StepOutcome
+MountainCar::doStep(const Action &action, std::span<double> obs)
 {
     GENESYS_ASSERT(!done_, "step() after episode end");
     GENESYS_ASSERT(action.discrete >= 0 && action.discrete < 3,
@@ -44,8 +51,8 @@ MountainCar::step(const Action &action)
         velocity_ = 0.0;
     maxPosition_ = std::max(maxPosition_, position_);
 
-    StepResult r;
-    r.observation = {position_, velocity_};
+    StepOutcome r;
+    writeObservation(obs);
     r.reward = -1.0; // gym's per-step penalty
     accumulate(r.reward);
     reachedGoal_ = position_ >= goalPosition_;

@@ -35,13 +35,17 @@ class MountainCar : public Environment
     double episodeFitness() const override;
     double targetFitness() const override { return 1.0; }
 
-    std::vector<double> reset(uint64_t seed) override;
-    StepResult step(const Action &action) override;
 
     bool reachedGoal() const { return reachedGoal_; }
     double maxPosition() const { return maxPosition_; }
 
   private:
+    void doReset(uint64_t seed, std::span<double> obs) override;
+    StepOutcome doStep(const Action &action,
+                       std::span<double> obs) override;
+    /** Write the current state's observation into `obs`. */
+    void writeObservation(std::span<double> obs) const;
+
     double position_ = 0.0;
     double velocity_ = 0.0;
     double maxPosition_ = -1.2;

@@ -16,20 +16,48 @@
 namespace genesys::env
 {
 
+namespace
+{
+
+/**
+ * The per-episode shape check every episode loop makes before reset:
+ * the environment writes exactly the observation the plan reads, so
+ * the per-step gathers below never index past either buffer.
+ */
+void
+checkObservationFits(const Environment &env, const nn::CompiledPlan &plan)
+{
+    GENESYS_ASSERT(static_cast<size_t>(env.observationSize()) ==
+                       plan.numInputs(),
+                   env.name() << " observes " << env.observationSize()
+                              << " values but the plan takes "
+                              << plan.numInputs() << " inputs");
+}
+
+/** Lane `l`'s row of a lane-major observation buffer. */
+std::span<double>
+laneObs(std::vector<double> &obs, size_t l, size_t stride)
+{
+    return {obs.data() + l * stride, stride};
+}
+
+} // namespace
+
 EpisodeResult
 EpisodeRunner::runEpisode(const nn::CompiledPlan &plan,
                           nn::PlanScratch &scratch, uint64_t seed)
 {
+    checkObservationFits(*env_, plan);
     plan.reset(scratch); // clears recurrent state; no-op feed-forward
     const ActionSpace space = env_->actionSpace();
 
-    std::vector<double> obs = env_->reset(seed);
+    obs_.resize(plan.numInputs());
+    env_->reset(seed, obs_);
     bool done = false;
     while (!done) {
-        plan.activate(obs, scratch);
-        StepResult sr = env_->step(decodeAction(space, scratch.outputs));
-        obs = std::move(sr.observation);
-        done = sr.done;
+        plan.activate(obs_, scratch);
+        decodeAction(space, scratch.outputs, action_);
+        done = env_->step(action_, obs_).done;
     }
     EpisodeResult result;
     result.cumulativeReward = env_->cumulativeReward();
@@ -74,7 +102,7 @@ evaluateBatched(const nn::CompiledPlan &plan,
     GENESYS_ASSERT(!lanes.empty(),
                    "evaluateBatched needs at least one environment lane");
 
-    const int num_inputs = static_cast<int>(plan.numInputs());
+    const size_t num_inputs = plan.numInputs();
     const int num_outputs = static_cast<int>(plan.numOutputs());
     const long macs_per_step = plan.macsPerInference();
     const ActionSpace space = lanes.front()->actionSpace();
@@ -83,10 +111,11 @@ evaluateBatched(const nn::CompiledPlan &plan,
     detail.episodes.resize(episodeSeeds.size());
     double total = 0.0;
 
-    std::vector<std::vector<double>> &obs = scratch.obs;
+    // Lane-major: lane l's observation is obs[l * num_inputs, ...).
+    std::vector<double> &obs = scratch.obs;
     std::vector<uint8_t> &active = scratch.active;
     std::vector<double> &lane_outputs = scratch.laneOutputs;
-    obs.resize(lanes.size());
+    obs.resize(lanes.size() * num_inputs);
     active.resize(lanes.size());
     lane_outputs.resize(static_cast<size_t>(num_outputs));
 
@@ -97,7 +126,9 @@ evaluateBatched(const nn::CompiledPlan &plan,
         const size_t W = wave_lanes;
 
         for (size_t l = 0; l < W; ++l) {
-            obs[l] = lanes[l]->reset(episodeSeeds[wave + l]);
+            checkObservationFits(*lanes[l], plan);
+            lanes[l]->reset(episodeSeeds[wave + l],
+                            laneObs(obs, l, num_inputs));
             active[l] = 1;
         }
         plan.beginBatch(static_cast<int>(W), scratch.net);
@@ -112,16 +143,9 @@ evaluateBatched(const nn::CompiledPlan &plan,
             for (size_t l = 0; l < W; ++l) {
                 if (!active[l])
                     continue;
-                // Same panic the serial path hits in activate() when
-                // an environment misreports its observation size.
-                GENESYS_ASSERT(obs[l].size() ==
-                                   static_cast<size_t>(num_inputs),
-                               "observation size "
-                                   << obs[l].size()
-                                   << " != plan inputs " << num_inputs);
-                for (int i = 0; i < num_inputs; ++i)
-                    scratch.net.inputs[static_cast<size_t>(i) * W + l] =
-                        obs[l][static_cast<size_t>(i)];
+                const double *lane_obs = obs.data() + l * num_inputs;
+                for (size_t i = 0; i < num_inputs; ++i)
+                    scratch.net.inputs[i * W + l] = lane_obs[i];
             }
             plan.activateBatch(static_cast<int>(W), active.data(),
                                scratch.net);
@@ -132,10 +156,10 @@ evaluateBatched(const nn::CompiledPlan &plan,
                     lane_outputs[static_cast<size_t>(o)] =
                         scratch.net
                             .outputs[static_cast<size_t>(o) * W + l];
-                StepResult sr =
-                    lanes[l]->step(decodeAction(space, lane_outputs));
-                obs[l] = std::move(sr.observation);
-                if (sr.done) {
+                decodeAction(space, lane_outputs, scratch.action);
+                if (lanes[l]->step(scratch.action,
+                                   laneObs(obs, l, num_inputs))
+                        .done) {
                     active[l] = 0;
                     --running;
                     GENESYS_DCHECK_RANGE(wave + l, size_t{0},
@@ -208,10 +232,12 @@ evaluateWave(const std::vector<WaveItem> &items,
     size_t next = 0;
     auto fillLane = [&](size_t l) {
         const WaveItem &it = items[next];
+        checkObservationFits(*lanes[l], *it.plan);
         scratch.item[l] = static_cast<int>(next);
         ++next;
         it.plan->reset(scratch.net[l]);
-        scratch.obs[l] = lanes[l]->reset(it.seed);
+        scratch.obs[l].resize(it.plan->numInputs());
+        lanes[l]->reset(it.seed, scratch.obs[l]);
     };
     for (size_t l = 0; l < W; ++l)
         fillLane(l);
@@ -235,11 +261,6 @@ evaluateWave(const std::vector<WaveItem> &items,
                 continue;
             const nn::CompiledPlan &plan =
                 *items[static_cast<size_t>(scratch.item[l])].plan;
-            GENESYS_ASSERT(scratch.obs[l].size() == plan.numInputs(),
-                           "observation size "
-                               << scratch.obs[l].size()
-                               << " != plan inputs "
-                               << plan.numInputs());
             scratch.groupLanes.clear();
             scratch.groupLanes.push_back(static_cast<int>(l));
             if (!plan.isRecurrent()) {
@@ -270,16 +291,6 @@ evaluateWave(const std::vector<WaveItem> &items,
                 const size_t lane =
                     static_cast<size_t>(scratch.groupLanes
                                             [static_cast<size_t>(g)]);
-                // Same panic every other eval path raises when an
-                // environment misreports its observation size —
-                // non-lead group members included, so the gather
-                // below never reads out of bounds.
-                GENESYS_ASSERT(scratch.obs[lane].size() ==
-                                   plan.numInputs(),
-                               "observation size "
-                                   << scratch.obs[lane].size()
-                                   << " != plan inputs "
-                                   << plan.numInputs());
                 for (int i = 0; i < num_inputs; ++i)
                     scratch.groupNet
                         .inputs[static_cast<size_t>(i) * Gz +
@@ -324,10 +335,8 @@ evaluateWave(const std::vector<WaveItem> &items,
                            "evaluateWave: lane " << l << " reached the"
                            " environment-step phase without a forward"
                            " pass this superstep");
-            StepResult sr = lanes[l]->step(
-                decodeAction(space, scratch.net[l].outputs));
-            scratch.obs[l] = std::move(sr.observation);
-            if (!sr.done)
+            decodeAction(space, scratch.net[l].outputs, scratch.action);
+            if (!lanes[l]->step(scratch.action, scratch.obs[l]).done)
                 continue;
             EpisodeResult &res = out.episodes[idx];
             res.cumulativeReward = lanes[l]->cumulativeReward();

@@ -65,9 +65,12 @@ class EpisodeRunner
     /**
      * Run one episode through a compiled plan, feed-forward or
      * recurrent (recurrent state is reset at episode start and ticked
-     * per environment step). The plan is read-only shared state; all
-     * mutable evaluation state lives in `scratch`, so concurrent
-     * runners can share one plan.
+     * per environment step). The plan is read-only shared state; the
+     * network's mutable state lives in `scratch` and the episode's
+     * observation and action buffers in the runner, so concurrent
+     * runners can share one plan and a reused runner steps without
+     * allocating. Panics before reset when the environment's
+     * observation size differs from the plan's input count.
      */
     EpisodeResult runEpisode(const nn::CompiledPlan &plan,
                              nn::PlanScratch &scratch, uint64_t seed);
@@ -83,25 +86,34 @@ class EpisodeRunner
 
   private:
     Environment *env_;
+    /** The episode's observation, written in place by the env. */
+    std::vector<double> obs_;
+    /** The decoded action, reused across steps. */
+    Action action_;
 };
 
 /**
  * Caller-owned mutable state for evaluateBatched: the network-side
  * batch scratch plus the episode-loop lane buffers, so one warmed
- * scratch per worker makes the batched episode path allocation-free
- * on the runner's side (environments still allocate their returned
- * observations). Not shareable across threads.
+ * scratch per worker makes the batched episode loop allocation-free
+ * (environments write their observations straight into `obs`). Not
+ * shareable across threads.
  */
 struct EpisodeBatchScratch
 {
     /** Plan activation buffers (sized by CompiledPlan::beginBatch). */
     nn::BatchScratch net;
-    /** Latest observation per lane. */
-    std::vector<std::vector<double>> obs;
+    /**
+     * Latest observation per lane, lane-major: lane l's observation
+     * is the plan-input-wide row starting at l * numInputs.
+     */
+    std::vector<double> obs;
     /** Live-episode mask per lane. */
     std::vector<uint8_t> active;
     /** One lane's outputs, staged for action decoding. */
     std::vector<double> laneOutputs;
+    /** The decoded action, reused across lanes and steps. */
+    Action action;
 };
 
 /**
@@ -183,8 +195,10 @@ struct WaveScratch
 {
     /** Per-lane plan activation state (index = lane). */
     std::vector<nn::PlanScratch> net;
-    /** Latest observation per lane. */
+    /** Latest observation per lane (plan-input wide). */
     std::vector<std::vector<double>> obs;
+    /** The decoded action, reused across lanes and supersteps. */
+    Action action;
     /** Item index driving each lane; -1 = idle. */
     std::vector<int> item;
     /** Per-superstep "already executed" marker (plan grouping). */

@@ -20,17 +20,18 @@ evaluateWith(Environment &env, Net &net,
     GENESYS_ASSERT(!episodeSeeds.empty(),
                    "evaluateOracle needs at least one episode seed");
     const ActionSpace space = env.actionSpace();
+    std::vector<double> obs(static_cast<size_t>(env.observationSize()));
+    Action action;
     EvalDetail detail;
     double total = 0.0;
     for (uint64_t seed : episodeSeeds) {
         if constexpr (requires { net.reset(); })
             net.reset(); // episodes never share recurrent state
-        std::vector<double> obs = env.reset(seed);
+        env.reset(seed, obs);
         bool done = false;
         while (!done) {
-            StepResult sr = env.step(decodeAction(space, net.activate(obs)));
-            obs = std::move(sr.observation);
-            done = sr.done;
+            decodeAction(space, net.activate(obs), action);
+            done = env.step(action, obs).done;
         }
         EpisodeResult res;
         res.cumulativeReward = env.cumulativeReward();

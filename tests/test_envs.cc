@@ -6,8 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <iterator>
+#include <ostream>
+#include <stdexcept>
 
+#include "core/workloads.hh"
 #include "env/acrobot.hh"
 #include "env/atari_ram.hh"
 #include "env/bipedal.hh"
@@ -55,18 +61,34 @@ TEST_P(EnvSuite, StepsProduceConsistentObservations)
 {
     auto env = makeEnvironment(GetParam());
     XorWow rng(2);
-    env->reset(7);
+    // Sentinel-filled: every element must be overwritten by the env.
+    std::vector<double> obs(static_cast<size_t>(env->observationSize()),
+                            std::nan(""));
+    env->reset(7, obs);
     const auto space = env->actionSpace();
     for (int i = 0; i < 20; ++i) {
-        const auto r = env->step(randomAction(space, rng));
-        EXPECT_EQ(r.observation.size(),
-                  static_cast<size_t>(env->observationSize()));
-        for (double v : r.observation)
+        std::fill(obs.begin(), obs.end(), std::nan(""));
+        const StepOutcome r = env->step(randomAction(space, rng), obs);
+        for (double v : obs)
             EXPECT_TRUE(std::isfinite(v));
         EXPECT_TRUE(std::isfinite(r.reward));
         if (r.done)
             break;
     }
+}
+
+TEST_P(EnvSuite, WrongSizedObservationSpanPanics)
+{
+    auto env = makeEnvironment(GetParam());
+    const size_t n = static_cast<size_t>(env->observationSize());
+    std::vector<double> short_obs(n - 1), long_obs(n + 1), obs(n);
+    EXPECT_THROW(env->reset(1, short_obs), std::logic_error);
+    EXPECT_THROW(env->reset(1, long_obs), std::logic_error);
+    env->reset(1, obs);
+    XorWow rng(3);
+    const Action a = randomAction(env->actionSpace(), rng);
+    EXPECT_THROW(env->step(a, short_obs), std::logic_error);
+    EXPECT_THROW(env->step(a, long_obs), std::logic_error);
 }
 
 TEST_P(EnvSuite, DeterministicGivenSeed)
@@ -134,6 +156,147 @@ TEST_P(EnvSuite, RecommendedOutputsAreDecodable)
 
 INSTANTIATE_TEST_SUITE_P(TableI, EnvSuite,
                          ::testing::ValuesIn(environmentNames()));
+
+// --- per-environment trajectory digests -------------------------------------
+//
+// Each environment is pinned bit for bit: reset plus 2,000 steps from a
+// seeded random action tape, restarting with the next seed after done,
+// FNV-1a-hashing every observation's bits, every reward's bits and every
+// done flag. The expected digests were recorded with the original
+// vector-returning reset/step, before environments wrote observations
+// into caller spans, so they prove the span entry points (and the
+// adaptors over them) reproduce the original trajectories exactly.
+
+namespace
+{
+
+/** FNV-1a 64-bit accumulation over one 64-bit word. */
+void
+fold(uint64_t &h, uint64_t v)
+{
+    for (int b = 0; b < 8; ++b) {
+        h ^= (v >> (8 * b)) & 0xffu;
+        h *= 0x100000001b3ull;
+    }
+}
+
+void
+foldObservation(uint64_t &h, std::span<const double> obs)
+{
+    for (double v : obs)
+        fold(h, std::bit_cast<uint64_t>(v));
+}
+
+void
+foldStep(uint64_t &h, std::span<const double> obs, double reward,
+         bool done)
+{
+    foldObservation(h, obs);
+    fold(h, std::bit_cast<uint64_t>(reward));
+    fold(h, static_cast<uint64_t>(done));
+}
+
+constexpr int kTrajectorySteps = 2000;
+constexpr uint64_t kTapeSeed = 0x7a9e;
+constexpr uint64_t kFirstEpisodeSeed = 1000;
+
+/** The trajectory digest through the span entry points. */
+uint64_t
+spanTrajectoryDigest(const std::string &name)
+{
+    auto env = makeEnvironment(name);
+    const ActionSpace space = env->actionSpace();
+    XorWow tape(kTapeSeed);
+    uint64_t seed = kFirstEpisodeSeed;
+    uint64_t h = 0xcbf29ce484222325ull;
+    std::vector<double> obs(static_cast<size_t>(env->observationSize()));
+    env->reset(seed, obs);
+    foldObservation(h, obs);
+    for (int i = 0; i < kTrajectorySteps; ++i) {
+        const StepOutcome r = env->step(randomAction(space, tape), obs);
+        foldStep(h, obs, r.reward, r.done);
+        if (r.done) {
+            env->reset(++seed, obs);
+            foldObservation(h, obs);
+        }
+    }
+    return h;
+}
+
+/** The same trajectory through the vector-returning adaptors. */
+uint64_t
+adaptorTrajectoryDigest(const std::string &name)
+{
+    auto env = makeEnvironment(name);
+    const ActionSpace space = env->actionSpace();
+    XorWow tape(kTapeSeed);
+    uint64_t seed = kFirstEpisodeSeed;
+    uint64_t h = 0xcbf29ce484222325ull;
+    foldObservation(h, env->reset(seed));
+    for (int i = 0; i < kTrajectorySteps; ++i) {
+        const StepResult r = env->step(randomAction(space, tape));
+        foldStep(h, r.observation, r.reward, r.done);
+        if (r.done)
+            foldObservation(h, env->reset(++seed));
+    }
+    return h;
+}
+
+struct TrajectoryCase
+{
+    const char *env;
+    uint64_t digest;
+};
+
+void
+PrintTo(const TrajectoryCase &c, std::ostream *os)
+{
+    *os << c.env;
+}
+
+const TrajectoryCase kTrajectories[] = {
+    {"CartPole_v0", 0x28e922a5ebea537dull},
+    {"MountainCar_v0", 0x0797a12a79c55ed9ull},
+    {"Acrobot", 0x587848615fb7bbd1ull},
+    {"LunarLander_v2", 0xb3e7ba34444c2109ull},
+    {"Bipedal", 0xdf21bf4dfcde6701ull},
+    {"AirRaid-ram-v0", 0x20dc193b10b2cadcull},
+    {"Alien-ram-v0", 0x95780a2508a1b4d3ull},
+    {"Amidar-ram-v0", 0x98d1ee0113f46458ull},
+    {"Asterix-ram-v0", 0xcbd5eafbcd890f7cull},
+};
+
+} // namespace
+
+class EnvTrajectory : public ::testing::TestWithParam<TrajectoryCase>
+{
+};
+
+TEST_P(EnvTrajectory, SpanStepsMatchRecordedDigest)
+{
+    EXPECT_EQ(spanTrajectoryDigest(GetParam().env), GetParam().digest);
+}
+
+TEST_P(EnvTrajectory, AdaptorStepsMatchRecordedDigest)
+{
+    EXPECT_EQ(adaptorTrajectoryDigest(GetParam().env), GetParam().digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Characterization, EnvTrajectory, ::testing::ValuesIn(kTrajectories),
+    [](const ::testing::TestParamInfo<TrajectoryCase> &info) {
+        std::string n = info.param.env;
+        std::replace(n.begin(), n.end(), '-', '_');
+        return n;
+    });
+
+TEST(EnvTrajectoryCoverage, EveryCharacterizationEnvIsPinned)
+{
+    const auto suite = core::characterizationSuite();
+    ASSERT_EQ(suite.size(), std::size(kTrajectories));
+    for (size_t i = 0; i < suite.size(); ++i)
+        EXPECT_EQ(suite[i].envName, kTrajectories[i].env);
+}
 
 // --- per-environment physics ------------------------------------------------
 

@@ -200,6 +200,32 @@ TEST(FixedPointQuantizer, SaturationBoundaryRounding)
     EXPECT_DOUBLE_EQ(q(-1e300), c.minValue());
 }
 
+TEST(FixedPointQuantizer, NonFiniteAndOverflowAgreeWithCodec)
+{
+    // The hot-loop Limit & Quantize follows encode()'s non-finite
+    // rule bit for bit: NaN (either sign) maps to 0, ±inf and finite
+    // overflow of any size saturate at the rail of their sign.
+    FixedPointCodec c(6, 10);
+    const FixedPointQuantizer q = c.quantizer();
+    const double res = c.resolution();
+    const double cases[] = {
+        std::nan(""),           -std::nan(""),
+        INFINITY,               -INFINITY,
+        1e300,                  -1e300,
+        std::ldexp(1.0, 40),    -std::ldexp(1.0, 40),
+        c.maxValue() + res,     c.minValue() - res,
+    };
+    for (double v : cases) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(q(v)),
+                  std::bit_cast<uint64_t>(c.quantize(v)))
+            << "v=" << v;
+    }
+    EXPECT_EQ(std::bit_cast<uint64_t>(q(std::nan(""))),
+              std::bit_cast<uint64_t>(0.0));
+    EXPECT_EQ(q(INFINITY), c.maxValue());
+    EXPECT_EQ(q(-INFINITY), c.minValue());
+}
+
 TEST(FixedPointQuantizer, NegativeZeroNormalizes)
 {
     // -0.0 in, +0.0 out: quantized zeros must carry the same bit

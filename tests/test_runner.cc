@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
+#include "env/atari_ram.hh"
 #include "env/cartpole.hh"
 #include "env/mountain_car.hh"
 #include "env/runner.hh"
@@ -141,4 +144,75 @@ TEST(MakeEnvironment, AllNamesConstructible)
         auto env = makeEnvironment(name);
         EXPECT_EQ(env->name(), name);
     }
+}
+
+// --- observation-size guard -------------------------------------------------
+//
+// Every episode loop checks, once per episode and before reset, that
+// the environment observes exactly as many values as the plan takes
+// inputs; a mismatch panics naming both sizes, on every path.
+
+namespace
+{
+
+/** An AirRaid (128-input) plan. */
+nn::CompiledPlan
+airRaidPlan()
+{
+    AtariRam airraid(AtariVariant::AirRaid);
+    const auto cfg = configForEnvironment(airraid);
+    neat::NodeIndexer idx(cfg.numOutputs);
+    XorWow rng(3);
+    return nn::CompiledPlan::compileFor(
+        neat::Genome::createNew(0, cfg, idx, rng), cfg);
+}
+
+/** Runs `fn`, expecting a logic_error that names both sizes. */
+template <typename Fn>
+void
+expectSizeMismatchPanic(Fn &&fn)
+{
+    try {
+        fn();
+        ADD_FAILURE() << "no panic on a 4-value env driving a 128-input"
+                         " plan";
+    } catch (const std::logic_error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("observes 4 values"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("takes 128 inputs"), std::string::npos)
+            << what;
+    }
+}
+
+} // namespace
+
+TEST(ObservationSizeGuard, RunEpisodePanicsNamingBothSizes)
+{
+    const auto plan = airRaidPlan();
+    CartPole env;
+    EpisodeRunner runner(env);
+    nn::PlanScratch scratch;
+    expectSizeMismatchPanic([&] { runner.runEpisode(plan, scratch, 1); });
+}
+
+TEST(ObservationSizeGuard, EvaluateBatchedPanicsNamingBothSizes)
+{
+    const auto plan = airRaidPlan();
+    CartPole a, b;
+    const std::vector<Environment *> lanes{&a, &b};
+    EpisodeBatchScratch scratch;
+    expectSizeMismatchPanic(
+        [&] { evaluateBatched(plan, {1, 2, 3}, lanes, scratch); });
+}
+
+TEST(ObservationSizeGuard, EvaluateWavePanicsNamingBothSizes)
+{
+    const auto plan = airRaidPlan();
+    CartPole a, b;
+    const std::vector<Environment *> lanes{&a, &b};
+    WaveScratch scratch;
+    expectSizeMismatchPanic([&] {
+        evaluateWave({{&plan, 1}, {&plan, 2}}, lanes, scratch);
+    });
 }
