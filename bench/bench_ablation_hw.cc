@@ -189,12 +189,12 @@ main()
         // Replays run in the float tier: the sweep itself is the
         // quantization under study.
         auto env = env::makeEnvironment("CartPole_v0");
-        env::EpisodeRunner runner(*env);
-        nn::PlanScratch scratch;
+        env::EpisodeBatchScratch scratch;
         auto replay = [&](const neat::Genome &g) {
             const auto plan = nn::CompiledPlan::compileFor(
                 g, ncfg, nn::NumericsTier::Reference);
-            return runner.runEpisode(plan, scratch, 1234).fitness;
+            return env::evaluateBatched(plan, {1234}, {env.get()}, scratch)
+                .fitness;
         };
         const double base = replay(best);
         t.addRow({"float64", "-", Table::num(base, 1), "0.0%"});

@@ -310,24 +310,25 @@ BENCHMARK(BM_EvalPathCompiled64Hidden)->Arg(25)->Arg(50)->Arg(100)->Arg(200);
 // --- batched episode lanes ---------------------------------------------------
 // The per-genome episode-batching axis: one shared plan, kLanes
 // concurrent episode lanes, the per-edge accumulation loop running
-// contiguously across lanes (CompiledPlan::activateBatch). Serial and
-// batched variants both retire kLanes * steps forward passes per
-// iteration (plus the one per-generation compile), so items_per_second
-// compares directly: batched / serial = the episode-batching speedup
-// the engine realizes per genome.
+// contiguously across lanes (CompiledPlan::activateBatch). The serial
+// variant runs the same episodes one at a time (one-lane activate);
+// both retire kLanes * steps forward passes per iteration (plus the
+// one per-generation compile), so items_per_second compares
+// directly: batched / serial = the episode-batching speedup the
+// engine realizes per genome.
 
 constexpr int kCmpLanes = 8;
 
 namespace
 {
 
-/** Batched lanes must match serial activations before any timing. */
+/** Batched lanes must match one-lane activations before any timing. */
 void
-assertBatchMatchesSerial(const nn::CompiledPlan &plan,
-                         const NeatConfig &cfg, uint64_t seed)
+assertBatchMatchesOneLane(const nn::CompiledPlan &plan,
+                          const NeatConfig &cfg, uint64_t seed)
 {
     XorWow rng(seed);
-    nn::PlanScratch serial;
+    nn::PlanScratch single;
     nn::BatchScratch batch;
     plan.beginBatch(kCmpLanes, batch);
     std::vector<uint8_t> active(kCmpLanes, 1);
@@ -345,14 +346,14 @@ assertBatchMatchesSerial(const nn::CompiledPlan &plan,
         }
         plan.activateBatch(kCmpLanes, active.data(), batch);
         for (int l = 0; l < kCmpLanes; ++l) {
-            plan.activate(lane_in[static_cast<size_t>(l)], serial);
-            for (size_t o = 0; o < serial.outputs.size(); ++o) {
+            plan.activate(lane_in[static_cast<size_t>(l)], single);
+            for (size_t o = 0; o < single.outputs.size(); ++o) {
                 GENESYS_ASSERT(
                     std::bit_cast<uint64_t>(
                         batch.outputs[o * kCmpLanes +
                                       static_cast<size_t>(l)]) ==
-                        std::bit_cast<uint64_t>(serial.outputs[o]),
-                    "batched/serial outputs diverge at lane "
+                        std::bit_cast<uint64_t>(single.outputs[o]),
+                    "batched/one-lane outputs diverge at lane "
                         << l << " output " << o);
             }
         }
@@ -364,14 +365,15 @@ assertBatchMatchesSerial(const nn::CompiledPlan &plan,
 namespace
 {
 
-/** Serial baseline: compile once, run kCmpLanes episodes one at a time. */
+/** Serial baseline: compile once, run kCmpLanes episodes one at a
+ *  time through the one-lane activate(). */
 void
 evalPathSerialEpisodes(benchmark::State &state, const NeatConfig &cfg,
                        const Genome &g)
 {
     {
         const auto plan = nn::CompiledPlan::compile(g, cfg);
-        assertBatchMatchesSerial(plan, cfg, kCmpSeed + 2);
+        assertBatchMatchesOneLane(plan, cfg, kCmpSeed + 2);
     }
     const auto steps = static_cast<int>(state.range(0));
     std::vector<double> inputs(static_cast<size_t>(cfg.numInputs), 0.5);
@@ -401,7 +403,7 @@ evalPathBatchedEpisodes(benchmark::State &state, const NeatConfig &cfg,
 {
     {
         const auto plan = nn::CompiledPlan::compile(g, cfg);
-        assertBatchMatchesSerial(plan, cfg, kCmpSeed + 2);
+        assertBatchMatchesOneLane(plan, cfg, kCmpSeed + 2);
     }
     const auto steps = static_cast<int>(state.range(0));
     nn::BatchScratch scratch;
@@ -663,16 +665,16 @@ BENCHMARK(BM_ActivationScalarVsVectorized)->Arg(0)->Arg(1);
 // The episodesPerEval == 1 regime: one episode each of kWaveGenomes
 // *different* genomes. Per-genome episode batching degenerates to
 // lane width 1 here — only the cross-genome wave scheduler
-// (env::evaluateWave) fills the lanes. The triple below runs the
-// same episode set through the serial loop, the per-genome batched
-// kernel and the heterogeneous wave; outputs are asserted
-// bit-identical and the wave's measured lane occupancy is asserted
-// >= 0.9 (vs 1/kWaveLanes for per-genome batching on the same
-// shards) before anything is timed. All three retire identical
-// forward-pass counts per iteration, so items_per_second compares
-// directly: the wave's cost delta vs serial is pure scheduling
-// overhead, paid for the near-full modeled PE-array occupancy the
-// stats report.
+// (env::evaluateWave) fills the lanes. The pair below runs the same
+// episode set through the per-genome loop (env::evaluateBatched, one
+// episode at a time — the engine's streamed path) and the
+// heterogeneous wave; outputs are asserted bit-identical and the
+// wave's measured lane occupancy is asserted >= 0.9 (vs 1/kWaveLanes
+// for per-genome batching on the same shards) before anything is
+// timed. Both retire identical forward-pass counts per iteration, so
+// items_per_second compares directly: the wave's cost delta is pure
+// scheduling overhead, paid for the near-full modeled PE-array
+// occupancy the stats report.
 
 constexpr int kWaveGenomes = 64;
 constexpr int kWaveLanes = 8;
@@ -685,7 +687,7 @@ namespace
  * from the reset seed (uniform in [40, 120]), observations are a
  * seeded pseudo-random stream, rewards are 1 per step. Gives the
  * wave scheduler realistic episode-length variance and refill
- * pressure with negligible dynamics cost, so the triple times
+ * pressure with negligible dynamics cost, so the pair times
  * inference + scheduling, not gym physics.
  */
 class FixedLengthEnv final : public env::Environment
@@ -789,34 +791,36 @@ waveLanes(std::vector<std::unique_ptr<env::Environment>> &owned,
 }
 
 /**
- * The triple's contract, checked before timing: every wave episode
- * bit-identical to the serial loop, and measured lane occupancy at
+ * The pair's contract, checked before timing: every wave episode
+ * bit-identical to the same episode run alone (the one-lane case of
+ * env::evaluateBatched), and measured lane occupancy at
  * least 0.9 — the acceptance bar for the cross-genome scheduler at
  * episodesPerEval == 1. Returns the measured total environment steps
  * across the workload, so every leg's items_per_second normalizes to
  * the same env-steps count without re-deriving the episode lengths.
  */
 long
-assertWaveMatchesSerial(const WaveWorkload &w)
+assertWaveMatchesAlone(const WaveWorkload &w)
 {
     std::vector<std::unique_ptr<env::Environment>> owned;
     const auto lanes = waveLanes(owned, w.cfg.numInputs, kWaveLanes);
     env::WaveScratch scratch;
     const auto wave = env::evaluateWave(w.items(), lanes, scratch);
 
-    FixedLengthEnv serial_env(w.cfg.numInputs);
-    nn::PlanScratch pscratch;
+    FixedLengthEnv alone_env(w.cfg.numInputs);
+    env::EpisodeBatchScratch alone_scratch;
     for (size_t i = 0; i < w.plans.size(); ++i) {
-        env::EpisodeRunner runner(serial_env);
         const auto expect =
-            runner.runEpisode(w.plans[i], pscratch, w.seeds[i]);
+            env::evaluateBatched(w.plans[i], {w.seeds[i]}, {&alone_env},
+                                 alone_scratch)
+                .episodes.front();
         const auto &got = wave.episodes[i];
         GENESYS_ASSERT(
             std::bit_cast<uint64_t>(got.fitness) ==
                     std::bit_cast<uint64_t>(expect.fitness) &&
                 got.steps == expect.steps &&
                 got.macs == expect.macs,
-            "wave/serial episode diverges at item " << i);
+            "wave/one-episode result diverges at item " << i);
     }
     GENESYS_ASSERT(wave.stats.occupancy() >= 0.9,
                    "heterogeneous wave occupancy "
@@ -829,25 +833,6 @@ assertWaveMatchesSerial(const WaveWorkload &w)
     return steps;
 }
 
-/** Serial leg: one episode per genome, one environment, no lanes. */
-void
-evalPathWaveSerial(benchmark::State &state, const WaveWorkload &w)
-{
-    const long total_steps = assertWaveMatchesSerial(w);
-    FixedLengthEnv env(w.cfg.numInputs);
-    nn::PlanScratch scratch;
-    for (auto _ : state) {
-        for (size_t i = 0; i < w.plans.size(); ++i) {
-            env::EpisodeRunner runner(env);
-            benchmark::DoNotOptimize(
-                runner.runEpisode(w.plans[i], scratch, w.seeds[i]));
-        }
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            total_steps); // env-steps/s
-}
-
 /**
  * Per-genome batched leg on kWaveLanes-wide shards: each genome's
  * single episode occupies one lane, the other kWaveLanes - 1 idle —
@@ -857,7 +842,7 @@ void
 evalPathWavePerGenomeBatch(benchmark::State &state,
                            const WaveWorkload &w)
 {
-    const long total_steps = assertWaveMatchesSerial(w);
+    const long total_steps = assertWaveMatchesAlone(w);
     std::vector<std::unique_ptr<env::Environment>> owned;
     const auto lanes = waveLanes(owned, w.cfg.numInputs, kWaveLanes);
     env::EpisodeBatchScratch scratch;
@@ -878,7 +863,7 @@ void
 evalPathWaveHeterogeneous(benchmark::State &state,
                           const WaveWorkload &w)
 {
-    const long total_steps = assertWaveMatchesSerial(w);
+    const long total_steps = assertWaveMatchesAlone(w);
     std::vector<std::unique_ptr<env::Environment>> owned;
     const auto lanes = waveLanes(owned, w.cfg.numInputs, kWaveLanes);
     const auto items = w.items();
@@ -896,13 +881,6 @@ evalPathWaveHeterogeneous(benchmark::State &state,
 }
 
 } // namespace
-
-static void
-BM_EvalPathWaveSerialAtariScale(benchmark::State &state)
-{
-    evalPathWaveSerial(state, WaveWorkload(kAtariInputs));
-}
-BENCHMARK(BM_EvalPathWaveSerialAtariScale);
 
 static void
 BM_EvalPathWavePerGenomeBatchAtariScale(benchmark::State &state)
@@ -964,7 +942,7 @@ assertRecurrentPathsMatch(nn::RecurrentNetwork &net,
         for (auto &x : in)
             x = rng.uniform(-3.0, 3.0);
         const auto expect = net.activate(in);
-        plan.activateRecurrent(in, scratch);
+        plan.activate(in, scratch);
         for (size_t o = 0; o < expect.size(); ++o) {
             GENESYS_ASSERT(std::bit_cast<uint64_t>(scratch.outputs[o]) ==
                                std::bit_cast<uint64_t>(expect[o]),
@@ -1012,7 +990,7 @@ BM_RecurrentStepCompiled64Hidden(benchmark::State &state)
     nn::PlanScratch scratch;
     plan.reset(scratch);
     for (auto _ : state) {
-        plan.activateRecurrent(inputs, scratch);
+        plan.activate(inputs, scratch);
         benchmark::DoNotOptimize(scratch.outputs.data());
         benchmark::ClobberMemory();
     }
@@ -1027,18 +1005,18 @@ namespace
 {
 
 /**
- * Batched recurrent lanes must match per-lane serial state ticks bit
- * for bit — including the cross-tick prev/curr state each lane
+ * Batched recurrent lanes must match per-lane one-lane state ticks
+ * bit for bit — including the cross-tick prev/curr state each lane
  * carries — before any lanes-variant timing is reported.
  */
 void
-assertRecurrentBatchMatchesSerial(const nn::CompiledPlan &plan,
-                                  const NeatConfig &cfg, uint64_t seed)
+assertRecurrentBatchMatchesOneLane(const nn::CompiledPlan &plan,
+                                   const NeatConfig &cfg, uint64_t seed)
 {
     constexpr int L = kCmpLanes;
     XorWow rng(seed);
-    std::vector<nn::PlanScratch> serial(L);
-    for (auto &s : serial)
+    std::vector<nn::PlanScratch> single(L);
+    for (auto &s : single)
         plan.reset(s);
     nn::BatchScratch batch;
     plan.beginBatch(L, batch);
@@ -1058,19 +1036,19 @@ assertRecurrentBatchMatchesSerial(const nn::CompiledPlan &plan,
         }
         plan.activateBatch(L, active.data(), batch);
         for (int l = 0; l < L; ++l) {
-            plan.activateRecurrent(lane_in[static_cast<size_t>(l)],
-                                   serial[static_cast<size_t>(l)]);
+            plan.activate(lane_in[static_cast<size_t>(l)],
+                          single[static_cast<size_t>(l)]);
             for (size_t o = 0;
-                 o < serial[static_cast<size_t>(l)].outputs.size();
+                 o < single[static_cast<size_t>(l)].outputs.size();
                  ++o) {
                 GENESYS_ASSERT(
                     std::bit_cast<uint64_t>(
                         batch.outputs[o * L +
                                       static_cast<size_t>(l)]) ==
                         std::bit_cast<uint64_t>(
-                            serial[static_cast<size_t>(l)]
+                            single[static_cast<size_t>(l)]
                                 .outputs[o]),
-                    "recurrent batched/serial outputs diverge at lane "
+                    "recurrent batched/one-lane outputs diverge at lane "
                         << l << " output " << o << " tick " << t);
             }
         }
@@ -1091,7 +1069,7 @@ BM_RecurrentStepBatchedLanes64Hidden(benchmark::State &state)
     cfg.feedForward = false;
     const auto g = recurrentBenchGenome(cfg);
     const auto plan = nn::CompiledPlan::compileRecurrent(g, cfg);
-    assertRecurrentBatchMatchesSerial(plan, cfg, kCmpSeed + 4);
+    assertRecurrentBatchMatchesOneLane(plan, cfg, kCmpSeed + 4);
 
     nn::BatchScratch scratch;
     plan.beginBatch(kCmpLanes, scratch);

@@ -372,9 +372,9 @@ System::replayBest(uint64_t seed)
     // under the same numerics tier the run evaluated with.
     const auto plan = nn::CompiledPlan::compileFor(
         population_->bestGenome(), neatCfg_, numericsTier_);
-    nn::PlanScratch scratch;
-    env::EpisodeRunner runner(*env_);
-    return runner.runEpisode(plan, scratch, seed);
+    env::EpisodeBatchScratch scratch;
+    return env::evaluateBatched(plan, {seed}, {env_.get()}, scratch)
+        .episodes.front();
 }
 
 } // namespace genesys::core

@@ -40,17 +40,20 @@ struct SystemConfig
     int numThreads = 1;
     /**
      * Step each genome's episodes in BSP lockstep waves through the
-     * batched compiled-plan kernel (see exec::EvalEngineConfig::
-     * batchEpisodes). Results are bit-identical either way.
+     * batched compiled-plan kernel. false is exactly an engine
+     * `episodeLanes = 1`: one episode at a time through the same
+     * loop. The field stays only because the closed-loop benchmark
+     * sets it; its deletion waits for the benchmark change that
+     * retires the eval-mode knobs (ROADMAP item 1; see
+     * exec::EvalEngineConfig::batchEpisodes). Results are
+     * bit-identical either way.
      */
     bool batchEpisodes = true;
     /**
      * Pack one episode each of many *different* genomes per lane
      * wave when episodesPerEval == 1 (see exec::EvalEngineConfig::
      * heterogeneousLanes); falls back to per-genome episode batching
-     * at episodesPerEval > 1 and is inert when `batchEpisodes` is
-     * false (the blanket opt-out selecting the serial loop). Results
-     * are bit-identical either way.
+     * at episodesPerEval > 1. Results are bit-identical either way.
      *
      * Note: the GENESYS_EVAL_MODE environment variable ("serial",
      * "batch", "waves") overrides this knob and `batchEpisodes` —
@@ -184,8 +187,8 @@ struct GenerationReport
     /**
      * True iff the generation ran through the plan-heterogeneous
      * wave scheduler, i.e. the wave* counters in `batches` (and
-     * laneOccupancy()) are live measurements. In serial and
-     * per-genome-batch modes — and for streamed generations, whose
+     * laneOccupancy()) are live measurements. In the per-genome
+     * modes ("serial", "batch") — and for streamed generations, whose
      * genomes always take the per-genome path — those counters are
      * silently zero; this flag distinguishes "measured zero" from
      * "path not taken".

@@ -43,54 +43,6 @@ laneObs(std::vector<double> &obs, size_t l, size_t stride)
 
 } // namespace
 
-EpisodeResult
-EpisodeRunner::runEpisode(const nn::CompiledPlan &plan,
-                          nn::PlanScratch &scratch, uint64_t seed)
-{
-    checkObservationFits(*env_, plan);
-    plan.reset(scratch); // clears recurrent state; no-op feed-forward
-    const ActionSpace space = env_->actionSpace();
-
-    obs_.resize(plan.numInputs());
-    env_->reset(seed, obs_);
-    bool done = false;
-    while (!done) {
-        plan.activate(obs_, scratch);
-        decodeAction(space, scratch.outputs, action_);
-        done = env_->step(action_, obs_).done;
-    }
-    EpisodeResult result;
-    result.cumulativeReward = env_->cumulativeReward();
-    result.fitness = env_->episodeFitness();
-    result.steps = env_->stepsTaken();
-    result.inferences = result.steps; // one forward pass per step
-    result.macs = plan.macsPerInference() * result.inferences;
-    return result;
-}
-
-EvalDetail
-EpisodeRunner::evaluateDetailed(const nn::CompiledPlan &plan,
-                                const std::vector<uint64_t> &episodeSeeds)
-{
-    GENESYS_ASSERT(!episodeSeeds.empty(),
-                   "evaluateDetailed needs at least one episode seed");
-    nn::PlanScratch scratch; // warmed once, reused by every episode
-    EvalDetail detail;
-    detail.episodes.reserve(episodeSeeds.size());
-    double total = 0.0;
-    for (uint64_t seed : episodeSeeds) {
-        EpisodeResult res = runEpisode(plan, scratch, seed);
-        total += res.fitness;
-        detail.inferences += res.inferences;
-        detail.macs += res.macs;
-        detail.maxEpisodeSteps =
-            std::max(detail.maxEpisodeSteps, res.steps);
-        detail.episodes.push_back(std::move(res));
-    }
-    detail.fitness = total / static_cast<double>(episodeSeeds.size());
-    return detail;
-}
-
 EvalDetail
 evaluateBatched(const nn::CompiledPlan &plan,
                 const std::vector<uint64_t> &episodeSeeds,
@@ -137,7 +89,7 @@ evaluateBatched(const nn::CompiledPlan &plan,
         // across every live lane, then each live lane steps its own
         // environment. Finished lanes are masked until the wave
         // drains — the per-episode termination masking that keeps
-        // the accounting identical to the serial loop.
+        // the accounting identical at every lane count.
         size_t running = W;
         while (running > 0) {
             for (size_t l = 0; l < W; ++l) {
@@ -172,19 +124,18 @@ evaluateBatched(const nn::CompiledPlan &plan,
                         lanes[l]->cumulativeReward();
                     res.fitness = lanes[l]->episodeFitness();
                     res.steps = lanes[l]->stepsTaken();
-                    res.inferences = res.steps; // one pass per step
-                    res.macs = macs_per_step * res.inferences;
+                    res.macs = macs_per_step * res.steps;
                 }
             }
         }
     }
 
-    // Aggregate in episode (seed) order — the exact accumulation
-    // order of the serial evaluateDetailed loop, so the mean and the
-    // totals are bit-identical, not merely equal up to reassociation.
+    // Aggregate in episode (seed) order, whatever the lane count, so
+    // the mean and the totals are bit-identical across widths, not
+    // merely equal up to reassociation.
     for (const EpisodeResult &res : detail.episodes) {
         total += res.fitness;
-        detail.inferences += res.inferences;
+        detail.inferences += res.steps; // one forward pass per step
         detail.macs += res.macs;
         detail.maxEpisodeSteps =
             std::max(detail.maxEpisodeSteps, res.steps);
@@ -274,8 +225,8 @@ evaluateWave(const std::vector<WaveItem> &items,
             }
 
             if (scratch.groupLanes.size() == 1) {
-                // activate() forwards recurrent plans to the tick
-                // dispatch itself.
+                // A one-lane activate(): a feed-forward pass or one
+                // recurrent tick on the lane's own state.
                 plan.activate(scratch.obs[l], scratch.net[l]);
                 scratch.executed[l] = 1;
                 continue;
@@ -342,9 +293,7 @@ evaluateWave(const std::vector<WaveItem> &items,
             res.cumulativeReward = lanes[l]->cumulativeReward();
             res.fitness = lanes[l]->episodeFitness();
             res.steps = lanes[l]->stepsTaken();
-            res.inferences = res.steps; // one pass per step
-            res.macs =
-                items[idx].plan->macsPerInference() * res.inferences;
+            res.macs = items[idx].plan->macsPerInference() * res.steps;
             if (next < items.size()) {
                 fillLane(l);
                 ++out.stats.refills;

@@ -1,9 +1,11 @@
 /**
  * @file
- * Episode runner: closes the loop between a genome's phenotype and an
+ * Episode loops: close the loop between a genome's phenotype and an
  * environment (steps 2-5 of the walkthrough in Section IV-B), and
- * adapts episode outcomes into NEAT fitness values (step 6, "reward
- * to fitness").
+ * adapt episode outcomes into NEAT fitness values (step 6, "reward
+ * to fitness"). evaluateBatched is the per-genome loop (a single
+ * episode is its one-lane case); evaluateWave packs episodes of
+ * different genomes into one wave.
  */
 
 #ifndef GENESYS_ENV_RUNNER_HH
@@ -22,15 +24,11 @@ struct EpisodeResult
 {
     double cumulativeReward = 0.0;
     double fitness = 0.0;
-    int steps = 0;
     /**
-     * Network evaluations performed. The policy runs exactly one
-     * forward pass per environment step, so this always equals
-     * `steps` — the invariant is enforced in runEpisode() (assigned
-     * from the step count, not counted separately) and documented
-     * only here.
+     * Environment steps taken. The policy runs exactly one forward
+     * pass per step, so this is also the episode's inference count.
      */
-    long inferences = 0;
+    int steps = 0;
     /** Total MACs executed by the policy network. */
     long macs = 0;
 };
@@ -40,7 +38,7 @@ struct EvalDetail
 {
     /** Mean episode fitness — the genome's NEAT fitness. */
     double fitness = 0.0;
-    /** Forward passes across all episodes. */
+    /** Forward passes across all episodes (the summed episode steps). */
     long inferences = 0;
     /** MACs across all episodes. */
     long macs = 0;
@@ -48,48 +46,6 @@ struct EvalDetail
     int maxEpisodeSteps = 0;
     /** Per-episode results, in episode order. */
     std::vector<EpisodeResult> episodes;
-};
-
-/**
- * Runs episodes of one environment through compiled plans. Every
- * episode takes an explicit seed, so evaluation is reproducible and
- * callers hand every genome in a generation the same episode set —
- * the population is ranked on a level playing field.
- */
-class EpisodeRunner
-{
-  public:
-    /** Borrow an environment owned elsewhere. */
-    explicit EpisodeRunner(Environment &env) : env_(&env) {}
-
-    /**
-     * Run one episode through a compiled plan, feed-forward or
-     * recurrent (recurrent state is reset at episode start and ticked
-     * per environment step). The plan is read-only shared state; the
-     * network's mutable state lives in `scratch` and the episode's
-     * observation and action buffers in the runner, so concurrent
-     * runners can share one plan and a reused runner steps without
-     * allocating. Panics before reset when the environment's
-     * observation size differs from the plan's input count.
-     */
-    EpisodeResult runEpisode(const nn::CompiledPlan &plan,
-                             nn::PlanScratch &scratch, uint64_t seed);
-
-    /**
-     * Evaluate a compiled plan over explicit per-episode seeds — the
-     * serial episode loop: one plan, many episodes, one scratch, zero
-     * phenotype rebuilds. Keeps the per-episode results and workload
-     * totals the hardware model needs.
-     */
-    EvalDetail evaluateDetailed(const nn::CompiledPlan &plan,
-                                const std::vector<uint64_t> &episodeSeeds);
-
-  private:
-    Environment *env_;
-    /** The episode's observation, written in place by the env. */
-    std::vector<double> obs_;
-    /** The decoded action, reused across steps. */
-    Action action_;
 };
 
 /**
@@ -117,23 +73,30 @@ struct EpisodeBatchScratch
 };
 
 /**
- * Evaluate one genome's episodes in BSP lockstep waves — the software
- * mirror of the paper's PE-array wave execution, with the episode
- * lanes of one genome standing in for the PEs. Episodes are grouped
- * into waves of `lanes.size()` concurrent episodes; every wave step
- * activates the shared plan once across all still-running lanes
- * (CompiledPlan::activateBatch) and steps each live lane's
- * environment, with finished episodes masked out until the wave
- * drains. Works for feed-forward and recurrent plans (recurrent lane
- * state is cleared per wave via beginBatch).
+ * Evaluate one compiled plan over explicit per-episode seeds — the
+ * library's one per-genome episode loop (steps 2-5 of the Section
+ * IV-B walkthrough). Every episode takes an explicit seed, so
+ * evaluation is reproducible and callers hand every genome in a
+ * generation the same episode set. Episodes run in BSP lockstep
+ * waves — the software mirror of the paper's PE-array wave
+ * execution, with the episode lanes of one genome standing in for
+ * the PEs. Episodes are grouped into waves of `lanes.size()`
+ * concurrent episodes; every wave step activates the shared plan
+ * once across all still-running lanes (CompiledPlan::activateBatch)
+ * and steps each live lane's environment, with finished episodes
+ * masked out until the wave drains. Works for feed-forward and
+ * recurrent plans (recurrent lane state is cleared per wave via
+ * beginBatch). A single episode on a single environment is the
+ * one-lane case: evaluateBatched(plan, {seed}, {&env}, scratch).
  *
  * `lanes` are distinct environment instances (one per concurrent
  * episode — e.g. an exec::EnvPool worker shard); `scratch` is the
  * caller's reusable batch scratch. Results are bit-identical, field
- * for field and episode for episode, to the serial
- * EpisodeRunner::evaluateDetailed loop over the same seeds — batching
- * never reassociates a lane's arithmetic or reorders its environment
- * stepping.
+ * for field and episode for episode, at every lane count and to the
+ * interpreter oracle (env::evaluateOracle in tests/support) —
+ * batching never reassociates a lane's arithmetic or reorders its
+ * environment stepping. Panics before a lane's reset when its
+ * observation size differs from the plan's input count.
  */
 EvalDetail
 evaluateBatched(const nn::CompiledPlan &plan,
@@ -184,7 +147,7 @@ struct WaveStats
 };
 
 /**
- * Caller-owned mutable state for evaluateWave: per-lane plan
+ * Caller-owned mutable state for evaluateWave: per-lane one-lane plan
  * scratches (recurrent lane state lives here across supersteps),
  * observation buffers and item bindings, plus the staging buffers for
  * shared-plan grouped dispatch. Reusing one WaveScratch per worker
@@ -193,7 +156,7 @@ struct WaveStats
  */
 struct WaveScratch
 {
-    /** Per-lane plan activation state (index = lane). */
+    /** Per-lane one-lane plan activation state (index = lane). */
     std::vector<nn::PlanScratch> net;
     /** Latest observation per lane (plan-input wide). */
     std::vector<std::vector<double>> obs;
@@ -238,7 +201,7 @@ struct WaveResult
  * exec::EnvPool wave shard); `scratch` is the caller's reusable wave
  * scratch. Each item's EpisodeResult is bit-identical, field for
  * field, to running that (plan, seed) episode alone through
- * EpisodeRunner::runEpisode — lane packing, grouping and refill never
+ * evaluateBatched — lane packing, grouping and refill never
  * reassociate a lane's arithmetic or reorder its environment
  * stepping.
  */

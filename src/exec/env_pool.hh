@@ -39,8 +39,8 @@ class EnvPool
 
     /**
      * Build `workers` shards of the named Table I environment, each
-     * shard holding `lanesPerWorker` instances (1 = the serial
-     * episode loop's single environment).
+     * shard holding `lanesPerWorker` instances (1 = one episode at a
+     * time).
      */
     EnvPool(const std::string &envName, int workers,
             int lanesPerWorker = 1);
@@ -55,13 +55,6 @@ class EnvPool
     int size() const { return static_cast<int>(shards_.size()); }
     /** Episode lanes (environment instances) per worker shard. */
     int lanesPerWorker() const { return lanes_; }
-
-    /**
-     * The first environment of `worker`'s shard — the serial episode
-     * loop's instance; valid for [0, size()).
-     */
-    env::Environment &at(int worker);
-    const env::Environment &at(int worker) const;
 
     /**
      * All of `worker`'s episode-lane environments, in lane order —

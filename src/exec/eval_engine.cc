@@ -122,7 +122,10 @@ EvalEngine::perGenomeSeeds(uint64_t base)
 namespace
 {
 
-/** Episode lanes each worker shard needs for `cfg`'s episode loop. */
+/**
+ * Episode lanes each worker shard needs for `cfg`'s episode loop.
+ * batchEpisodes == false is exactly episodeLanes == 1.
+ */
 int
 resolveLanes(const EvalEngineConfig &cfg)
 {
@@ -139,15 +142,12 @@ constexpr int kDefaultWaveLanes = 8;
 /**
  * The single wave-path activation predicate — shard sizing
  * (resolveWaveLanes) and batch routing (usesHeterogeneousWaves) must
- * agree, so both read this. batchEpisodes == false is the blanket
- * batching opt-out: it selects the plain serial loop, never the wave
- * scheduler.
+ * agree, so both read this.
  */
 bool
 wavesActive(const EvalEngineConfig &cfg)
 {
-    return cfg.batchEpisodes && cfg.heterogeneousLanes &&
-           cfg.episodes == 1;
+    return cfg.heterogeneousLanes && cfg.episodes == 1;
 }
 
 /** Wave-shard lanes `cfg` needs (1 when the wave path is inactive). */
@@ -276,9 +276,9 @@ EvalEngine::evaluateOne(std::size_t item, int worker)
         // exactly once and the resulting immutable plan is shared
         // read-only by all of its episodes and by workload
         // accounting. A genome's episodes run in BSP lockstep waves
-        // across the worker's episode lanes (batched kernel) unless
-        // batching is disabled — both paths are bit-identical, per
-        // episode and in aggregate.
+        // across the worker's episode lanes (one lane when batching
+        // is off) — bit-identical at every width, per episode and in
+        // aggregate.
         const neat::GenomeHandle &h = jobGenomes_[item];
         obs::Span span("eval.genome", "evaluate", h.key);
         std::vector<uint64_t> seeds(static_cast<std::size_t>(cfg_.episodes));
@@ -289,14 +289,9 @@ EvalEngine::evaluateOne(std::size_t item, int worker)
         out.genomeKey = h.key;
         out.plan = planCache_.acquire(h.key, *h.genome, jobCfg_,
                                       cfg_.numericsTier);
-        if (cfg_.batchEpisodes) {
-            out.detail = env::evaluateBatched(
-                *out.plan, seeds, envs_.shard(worker),
-                batchScratch_[static_cast<std::size_t>(worker)]);
-        } else {
-            env::EpisodeRunner runner(envs_.at(worker));
-            out.detail = runner.evaluateDetailed(*out.plan, seeds);
-        }
+        out.detail = env::evaluateBatched(
+            *out.plan, seeds, envs_.shard(worker),
+            batchScratch_[static_cast<std::size_t>(worker)]);
     } catch (...) {
         std::lock_guard<std::mutex> lock(jobErrorMutex_);
         if (!jobError_)
@@ -573,9 +568,9 @@ EvalEngine::evaluateWaves(const std::vector<neat::GenomeHandle> &batch,
         chunkStats[c] = wave.stats;
 
         // Assemble each genome's EvalDetail from its episode slice,
-        // accumulating in episode order — the exact order of the
-        // serial evaluateDetailed loop, so the mean and totals are
-        // bit-identical, not merely equal up to reassociation.
+        // accumulating in episode order — the exact order of
+        // evaluateBatched, so the mean and totals are bit-identical,
+        // not merely equal up to reassociation.
         std::size_t k = 0;
         for (std::size_t i = lo; i < hi; ++i) {
             env::EvalDetail &d = results[i].detail;
@@ -585,7 +580,7 @@ EvalEngine::evaluateWaves(const std::vector<neat::GenomeHandle> &batch,
             for (int e = 0; e < episodes; ++e, ++k) {
                 env::EpisodeResult &res = wave.episodes[k];
                 total += res.fitness;
-                d.inferences += res.inferences;
+                d.inferences += res.steps; // one pass per step
                 d.macs += res.macs;
                 d.maxEpisodeSteps =
                     std::max(d.maxEpisodeSteps, res.steps);

@@ -87,8 +87,8 @@ struct BatchStats
     /**
      * Measured lane occupancy of the heterogeneous-wave execution
      * path (env::evaluateWave), aggregated across every worker's
-     * rolling wave. All zero when the batch ran through the serial or
-     * per-genome-batched episode loops instead. `laneCount` is the
+     * rolling wave. All zero when the batch ran through the
+     * per-genome episode loop (env::evaluateBatched) instead. `laneCount` is the
      * configured lane width per worker wave shard; the remaining
      * counters aggregate the per-worker WaveStats — see
      * env::WaveStats for field semantics.
@@ -143,10 +143,12 @@ struct EvalEngineConfig
      */
     int waveWidth = 0;
     /**
-     * Step each genome's episodes in BSP lockstep waves through the
-     * batched plan kernel (env::evaluateBatched) instead of the
-     * serial one-episode-at-a-time loop. Bit-identical results either
-     * way — batching is purely a throughput lever.
+     * Step each genome's episodes in BSP lockstep waves of
+     * `episodeLanes` lanes. false is exactly `episodeLanes = 1`: the
+     * same env::evaluateBatched loop, one episode at a time. The
+     * field outlives its meaning only because the closed-loop
+     * benchmark sets it; deleting it waits for the benchmark change
+     * that retires the eval-mode knobs (ROADMAP item 1).
      */
     bool batchEpisodes = true;
     /**
@@ -165,9 +167,7 @@ struct EvalEngineConfig
      * episodes refill from the worker's pending-genome queue, so
      * measured lane occupancy (BatchStats::laneOccupancy) stays near
      * 1. Falls back to per-genome episode batching when
-     * `episodes > 1`, and is inert when `batchEpisodes` is false —
-     * that knob remains the blanket opt-out selecting the plain
-     * serial loop. Results are bit-identical across all three
+     * `episodes > 1`. Results are bit-identical across both
      * execution paths.
      */
     bool heterogeneousLanes = true;
@@ -189,7 +189,8 @@ struct EvalEngineConfig
 
 /**
  * Apply the GENESYS_EVAL_MODE environment variable to `cfg`:
- * "serial" disables episode batching and heterogeneous waves,
+ * "serial" runs the per-genome loop one episode at a time (episode
+ * batching and heterogeneous waves off),
  * "batch" selects per-genome episode batching only, and "waves"
  * enables the full heterogeneous-wave scheduler. Unset (or empty)
  * leaves `cfg` untouched; anything else is a fatal configuration

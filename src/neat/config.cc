@@ -16,20 +16,22 @@ NeatConfig::validate() const
         fatal("numOutputs must be >= 1");
     if (numHidden < 0)
         fatal("numHidden must be >= 0");
-    if (partialConnectionProb < 0.0 || partialConnectionProb > 1.0)
+    // Range checks are written as !(in range) so NaN, which fails
+    // every comparison, is rejected rather than waved through.
+    if (!(partialConnectionProb >= 0.0 && partialConnectionProb <= 1.0))
         fatal("partialConnectionProb must be in [0,1]");
     for (double p : {connAddProb, connDeleteProb, nodeAddProb,
                      nodeDeleteProb}) {
-        if (p < 0.0 || p > 1.0)
+        if (!(p >= 0.0 && p <= 1.0))
             fatal("structural mutation probabilities must be in [0,1]");
     }
-    if (survivalThreshold <= 0.0 || survivalThreshold > 1.0)
+    if (!(survivalThreshold > 0.0 && survivalThreshold <= 1.0))
         fatal("survivalThreshold must be in (0,1]");
     if (elitism < 0)
         fatal("elitism must be >= 0");
     if (elitism >= populationSize)
         fatal("elitism must be smaller than populationSize");
-    if (compatibilityThreshold <= 0.0)
+    if (!(compatibilityThreshold > 0.0))
         fatal("compatibilityThreshold must be positive");
     if (maxStagnation < 1)
         fatal("maxStagnation must be >= 1");

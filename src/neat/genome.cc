@@ -68,9 +68,18 @@ Genome::createNew(int key, const NeatConfig &cfg, NodeIndexer &indexer,
         g.nodes_.emplace(nk, NodeGene::createNew(nk, cfg, rng));
     }
 
+    // Genes are drawn in input-major order, which fixes the RNG
+    // stream, but input keys count down from -1, so emplacing in draw
+    // order would insert each gene at the front of the sorted array:
+    // quadratic in the connection count, and the bulk of System
+    // construction for 128-input genomes. Stage the draws, then
+    // emplace them in key order, which only appends. Every (source,
+    // destination) pair below is drawn once, so the sort has no ties
+    // to order.
+    std::vector<std::pair<ConnKey, ConnectionGene>> conns;
     auto add_conn = [&](int src, int dst) {
         const ConnKey ck{src, dst};
-        g.connections_.emplace(ck, ConnectionGene::createNew(ck, cfg, rng));
+        conns.emplace_back(ck, ConnectionGene::createNew(ck, cfg, rng));
     };
 
     switch (cfg.initialConnection) {
@@ -100,6 +109,12 @@ Genome::createNew(int key, const NeatConfig &cfg, NodeIndexer &indexer,
         for (int out : outputKeys(cfg))
             add_conn(h, out);
     }
+
+    std::sort(conns.begin(), conns.end(),
+              [](const auto &a, const auto &b) { return a.first < b.first; });
+    g.connections_.reserve(conns.size());
+    for (auto &[ck, gene] : conns)
+        g.connections_.emplace(ck, std::move(gene));
     return g;
 }
 

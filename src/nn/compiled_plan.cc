@@ -563,175 +563,35 @@ void
 CompiledPlan::activate(const std::vector<double> &inputs,
                        PlanScratch &scratch) const
 {
+    GENESYS_ASSERT(inputs.size() == static_cast<size_t>(numInputs_),
+                   "expected " << numInputs_ << " inputs, got "
+                               << inputs.size());
     if (recurrent_) {
-        activateRecurrent(inputs, scratch);
-        return;
+        GENESYS_ASSERT(scratch.prev.size() ==
+                           static_cast<size_t>(numSlots_),
+                       "recurrent scratch not reset for this plan — "
+                       "call reset() before the first tick");
+    } else {
+        // No zero-fill: every slot read is an input slot or the
+        // destination of an earlier node, both written before the
+        // read (out-of-graph sources are compiled out or sentinels).
+        scratch.values.resize(static_cast<size_t>(numSlots_));
+        scratch.outputs.resize(static_cast<size_t>(numOutputs_));
+        scratch.acc.resize(1);
     }
+    static constexpr uint8_t kLive = 1;
     if (tier_ == NumericsTier::HwFaithful)
-        activateImpl<NumericsTier::HwFaithful>(inputs, scratch);
+        activateBatchImpl<1, NumericsTier::HwFaithful>(1, inputs.data(),
+                                                       &kLive, scratch);
     else
-        activateImpl<NumericsTier::Reference>(inputs, scratch);
-}
-
-template <NumericsTier kTier>
-void
-CompiledPlan::activateImpl(const std::vector<double> &inputs,
-                           PlanScratch &scratch) const
-{
-    GENESYS_ASSERT(inputs.size() == static_cast<size_t>(numInputs_),
-                   "expected " << numInputs_ << " inputs, got "
-                               << inputs.size());
-
-    // No zero-fill: every slot read below is an input slot or the
-    // destination of an earlier node, both written before the read
-    // (out-of-graph sources are either compiled out or sentinels).
-    scratch.values.resize(static_cast<size_t>(numSlots_));
-    scratch.outputs.resize(static_cast<size_t>(numOutputs_));
-
-    // Raw pointers hoisted out of the loop: scratch escapes into
-    // neat::aggregate on the generic path, so indexing through the
-    // vectors would force the compiler to reload data pointers after
-    // every opaque call in the hot loop.
-    double *const values = scratch.values.data();
-    std::copy(inputs.begin(), inputs.end(), values);
-    if constexpr (kTier == NumericsTier::HwFaithful) {
-        // Sensor latch: observations enter the datapath through the
-        // same Q6.10 Limit & Quantize stage every node output passes.
-        for (int i = 0; i < numInputs_; ++i)
-            values[i] = kHwQuantizer(values[i]);
-    }
-    const double *const w = edgeWeight_.data();
-    const int32_t *const src = edgeSrc_.data();
-    const int32_t *const offs = edgeOffset_.data();
-    const int32_t *const slot_of = nodeSlot_.data();
-    const neat::Activation *const act = activation_.data();
-    const neat::Aggregation *const agg = aggregation_.data();
-    const double *const bias = bias_.data();
-    const double *const response = response_.data();
-
-    const int n_nodes = static_cast<int>(nodeSlot_.size());
-    for (int n = 0; n < n_nodes; ++n) {
-        const int32_t e0 = offs[n];
-        const int32_t e1 = offs[n + 1];
-        double pre;
-        if (agg[n] == neat::Aggregation::Sum) {
-            double acc = 0.0;
-            for (int32_t e = e0; e < e1; ++e)
-                acc += values[src[e]] * w[e];
-            pre = acc;
-        } else {
-            scratch.weighted.clear();
-            for (int32_t e = e0; e < e1; ++e) {
-                scratch.weighted.push_back(
-                    (src[e] >= 0 ? values[src[e]] : 0.0) * w[e]);
-            }
-            pre = neat::aggregate(agg[n], scratch.weighted);
-        }
-        if constexpr (kTier == NumericsTier::HwFaithful)
-            values[slot_of[n]] = hwact::activateQuantized(
-                act[n], bias[n] + response[n] * pre, kHwQuantizer);
-        else
-            values[slot_of[n]] =
-                neat::activate(act[n], bias[n] + response[n] * pre);
-    }
-
-    double *const outputs = scratch.outputs.data();
-    for (int o = 0; o < numOutputs_; ++o) {
-        const int32_t slot = outputSlot_[static_cast<size_t>(o)];
-        outputs[o] = slot >= 0 ? values[slot] : 0.0;
-    }
-}
-
-void
-CompiledPlan::activateRecurrent(const std::vector<double> &inputs,
-                                PlanScratch &scratch) const
-{
-    if (tier_ == NumericsTier::HwFaithful)
-        activateRecurrentImpl<NumericsTier::HwFaithful>(inputs, scratch);
-    else
-        activateRecurrentImpl<NumericsTier::Reference>(inputs, scratch);
-}
-
-template <NumericsTier kTier>
-void
-CompiledPlan::activateRecurrentImpl(const std::vector<double> &inputs,
-                                    PlanScratch &scratch) const
-{
-    GENESYS_ASSERT(recurrent_,
-                   "activateRecurrent on a feed-forward plan");
-    GENESYS_ASSERT(inputs.size() == static_cast<size_t>(numInputs_),
-                   "expected " << numInputs_ << " inputs, got "
-                               << inputs.size());
-    GENESYS_ASSERT(scratch.prev.size() == static_cast<size_t>(numSlots_),
-                   "recurrent scratch not reset for this plan — call "
-                   "reset() before the first tick");
-    scratch.outputs.resize(static_cast<size_t>(numOutputs_));
-
-    double *const prev = scratch.prev.data();
-    double *const curr = scratch.curr.data();
-    // Inputs are visible in the *previous* frame so this tick's node
-    // updates read them (standard NEAT recurrent evaluation); the
-    // current frame keeps them too so they survive the swap.
-    for (int i = 0; i < numInputs_; ++i) {
-        double in = inputs[static_cast<size_t>(i)];
-        if constexpr (kTier == NumericsTier::HwFaithful)
-            in = kHwQuantizer(in); // sensor Limit & Quantize
-        prev[i] = in;
-        curr[i] = in;
-    }
-
-    const double *const w = edgeWeight_.data();
-    const int32_t *const src = edgeSrc_.data();
-    const int32_t *const offs = edgeOffset_.data();
-    const int32_t *const slot_of = nodeSlot_.data();
-    const neat::Activation *const act = activation_.data();
-    const neat::Aggregation *const agg = aggregation_.data();
-    const double *const bias = bias_.data();
-    const double *const response = response_.data();
-
-    const int n_nodes = static_cast<int>(nodeSlot_.size());
-    for (int n = 0; n < n_nodes; ++n) {
-        const int32_t e0 = offs[n];
-        const int32_t e1 = offs[n + 1];
-        double pre;
-        if (agg[n] == neat::Aggregation::Sum) {
-            double acc = 0.0;
-            for (int32_t e = e0; e < e1; ++e)
-                acc += prev[src[e]] * w[e];
-            pre = acc;
-        } else {
-            scratch.weighted.clear();
-            for (int32_t e = e0; e < e1; ++e) {
-                scratch.weighted.push_back(
-                    (src[e] >= 0 ? prev[src[e]] : 0.0) * w[e]);
-            }
-            pre = neat::aggregate(agg[n], scratch.weighted);
-        }
-        if constexpr (kTier == NumericsTier::HwFaithful)
-            curr[slot_of[n]] = hwact::activateQuantized(
-                act[n], bias[n] + response[n] * pre, kHwQuantizer);
-        else
-            curr[slot_of[n]] =
-                neat::activate(act[n], bias[n] + response[n] * pre);
-    }
-    std::swap(scratch.prev, scratch.curr);
-
-    // After the swap, prev holds this tick's values.
-    const double *const settled = scratch.prev.data();
-    double *const outputs = scratch.outputs.data();
-    for (int o = 0; o < numOutputs_; ++o) {
-        const int32_t slot = outputSlot_[static_cast<size_t>(o)];
-        outputs[o] = slot >= 0 ? settled[slot] : 0.0;
-    }
+        activateBatchImpl<1, NumericsTier::Reference>(1, inputs.data(),
+                                                      &kLive, scratch);
 }
 
 void
 CompiledPlan::reset(PlanScratch &scratch) const
 {
-    if (!recurrent_)
-        return;
-    scratch.prev.assign(static_cast<size_t>(numSlots_), 0.0);
-    scratch.curr.assign(static_cast<size_t>(numSlots_), 0.0);
+    beginBatch(1, scratch);
 }
 
 std::vector<double>
@@ -761,10 +621,11 @@ CompiledPlan::beginBatch(int lanes, BatchScratch &scratch) const
 }
 
 /*
- * The batched kernel: identical per-lane operation order to the
- * serial paths (per node, edges accumulate in the same sequence), so
- * each lane is bit-identical to a serial activate() fed the same
- * inputs — lane interleaving never reassociates a lane's arithmetic.
+ * The batched kernel: every lane runs the same per-lane operation
+ * order (per node, edges accumulate in CSR order), whatever the lane
+ * count, so each lane is bit-identical to a one-lane activate() fed
+ * the same inputs — lane interleaving never reassociates a lane's
+ * arithmetic.
  * The Sum accumulation runs branch-free across all lanes (stale
  * inactive-lane values are accumulated and discarded); the expensive
  * per-node activation (libm) is masked to active lanes.
@@ -773,6 +634,13 @@ void
 CompiledPlan::activateBatch(int lanes, const uint8_t *activeLanes,
                             BatchScratch &scratch) const
 {
+    GENESYS_ASSERT(lanes > 0 &&
+                       scratch.inputs.size() ==
+                           static_cast<size_t>(numInputs_) *
+                               static_cast<size_t>(lanes),
+                   "batch scratch not sized for " << lanes
+                                                  << " lanes — call "
+                                                     "beginBatch first");
     if (tier_ == NumericsTier::HwFaithful)
         activateBatchDispatch<NumericsTier::HwFaithful>(
             lanes, activeLanes, scratch);
@@ -791,41 +659,40 @@ CompiledPlan::activateBatchDispatch(int lanes,
     // a common small width: with the trip count known at compile time
     // the per-edge lane loop unrolls into straight vector code. The
     // engine's defaults (episodes per evaluation) land in this range.
+    const double *const in = scratch.inputs.data();
     switch (lanes) {
       case 1:
-        return activateBatchImpl<1, kTier>(lanes, activeLanes, scratch);
+        return activateBatchImpl<1, kTier>(lanes, in, activeLanes, scratch);
       case 2:
-        return activateBatchImpl<2, kTier>(lanes, activeLanes, scratch);
+        return activateBatchImpl<2, kTier>(lanes, in, activeLanes, scratch);
       case 3:
-        return activateBatchImpl<3, kTier>(lanes, activeLanes, scratch);
+        return activateBatchImpl<3, kTier>(lanes, in, activeLanes, scratch);
       case 4:
-        return activateBatchImpl<4, kTier>(lanes, activeLanes, scratch);
+        return activateBatchImpl<4, kTier>(lanes, in, activeLanes, scratch);
       case 5:
-        return activateBatchImpl<5, kTier>(lanes, activeLanes, scratch);
+        return activateBatchImpl<5, kTier>(lanes, in, activeLanes, scratch);
       case 6:
-        return activateBatchImpl<6, kTier>(lanes, activeLanes, scratch);
+        return activateBatchImpl<6, kTier>(lanes, in, activeLanes, scratch);
       case 7:
-        return activateBatchImpl<7, kTier>(lanes, activeLanes, scratch);
+        return activateBatchImpl<7, kTier>(lanes, in, activeLanes, scratch);
       case 8:
-        return activateBatchImpl<8, kTier>(lanes, activeLanes, scratch);
+        return activateBatchImpl<8, kTier>(lanes, in, activeLanes, scratch);
       default:
-        return activateBatchImpl<0, kTier>(lanes, activeLanes, scratch);
+        return activateBatchImpl<0, kTier>(lanes, in, activeLanes, scratch);
     }
 }
 
 template <int kLanes, NumericsTier kTier>
 void
-CompiledPlan::activateBatchImpl(int lanes, const uint8_t *activeLanes,
+CompiledPlan::activateBatchImpl(int lanes, const double *inputs,
+                                const uint8_t *activeLanes,
                                 BatchScratch &scratch) const
 {
     const size_t L =
         kLanes > 0 ? static_cast<size_t>(kLanes)
                    : static_cast<size_t>(lanes);
-    GENESYS_ASSERT(lanes > 0 &&
-                       scratch.inputs.size() ==
-                           static_cast<size_t>(numInputs_) * L &&
-                       scratch.outputs.size() ==
-                           static_cast<size_t>(numOutputs_) * L,
+    GENESYS_ASSERT(scratch.outputs.size() ==
+                       static_cast<size_t>(numOutputs_) * L,
                    "batch scratch not sized for " << lanes
                                                   << " lanes — call "
                                                      "beginBatch first");
@@ -863,8 +730,7 @@ CompiledPlan::activateBatchImpl(int lanes, const uint8_t *activeLanes,
     // Latch inputs: input i occupies slot i in both modes. Inactive
     // lanes latch stale inputs into stale slots — never consumed.
     const size_t in_count = static_cast<size_t>(numInputs_) * L;
-    std::copy(scratch.inputs.begin(), scratch.inputs.begin() + in_count,
-              rd);
+    std::copy(inputs, inputs + in_count, rd);
     if constexpr (kTier == NumericsTier::HwFaithful) {
         // Sensor Limit & Quantize, applied after the latch so the
         // caller's input buffer stays untouched.
@@ -896,7 +762,7 @@ CompiledPlan::activateBatchImpl(int lanes, const uint8_t *activeLanes,
         const int32_t e0 = offs[n];
         const int32_t e1 = offs[n + 1];
         if (agg[n] == neat::Aggregation::Sum) {
-            // Summation order per lane is exactly the serial edge
+            // Summation order per lane is exactly the CSR edge
             // order in both branches — only where the running sums
             // live differs, so the change is invisible to the
             // bit-identity contract.

@@ -14,7 +14,7 @@
  *
  * A plan is immutable after compile(), so it is safe to share
  * read-only across exec::EvalEngine workers; all mutable state lives
- * in the caller's PlanScratch / BatchScratch. It is the library's
+ * in the caller's BatchScratch (alias PlanScratch). It is the library's
  * only phenotype. Outputs are bit-identical to the feed-forward and
  * recurrent interpreter oracles in tests/support: the plan preserves
  * the interpreters' node order, per-node link order and accumulation
@@ -34,17 +34,18 @@
  *  * Recurrent (compileRecurrent(), NeatConfig::feedForward ==
  *    false): every node gene updates every tick from the *previous*
  *    tick's values, held in double-buffered prev/curr slot arrays in
- *    the scratch. activateRecurrent() advances one tick; reset()
+ *    the scratch. Each activate() advances one tick; reset()
  *    clears the state at episode boundaries. Bit-identical to the
  *    recurrent interpreter oracle in tests/support.
  *
- * Both modes also expose a batched entry point (activateBatch):
- * one shared plan evaluated across N independent episode lanes, the
- * per-edge accumulation loop running contiguously across the lane
- * dimension — the software mirror of the EvE PE-array stepping a wave
- * of episodes in BSP lockstep. Each lane's floating-point operation
- * order is exactly the serial order, so batched results stay
- * bit-identical to the serial path lane for lane.
+ * Both modes run through one forward-pass body, the batched kernel
+ * (activateBatch): one shared plan evaluated across N independent
+ * episode lanes, the per-edge accumulation loop running contiguously
+ * across the lane dimension — the software mirror of the EvE PE-array
+ * stepping a wave of episodes in BSP lockstep. A single activate() is
+ * its one-lane case. Each lane's floating-point operation order is
+ * independent of the lane count, so results are bit-identical at
+ * every width.
  */
 
 #ifndef GENESYS_NN_COMPILED_PLAN_HH
@@ -60,34 +61,16 @@ namespace genesys::nn
 {
 
 /**
- * Caller-owned mutable state for CompiledPlan::activate. Reusing one
- * scratch across calls makes the hot loop allocation-free after the
- * first activation; a scratch may be moved between plans (buffers
- * are resized on entry) but must not be shared across threads.
- * Recurrent plans keep their cross-tick node state here (prev/curr),
- * so the plan itself stays immutable and shareable.
- */
-struct PlanScratch
-{
-    /** Dense value slots: inputs first, then evaluated nodes. */
-    std::vector<double> values;
-    /** Weighted-input staging for non-Sum aggregations. */
-    std::vector<double> weighted;
-    /** Output activations of the most recent activate() call. */
-    std::vector<double> outputs;
-    /** Recurrent double buffer: previous tick's slot values. */
-    std::vector<double> prev;
-    /** Recurrent double buffer: slot values being written this tick. */
-    std::vector<double> curr;
-};
-
-/**
  * Caller-owned mutable state for CompiledPlan::activateBatch: one
  * shared plan, L independent episode lanes. Every array is laid out
  * lane-minor — element [i][lane] lives at i * lanes + lane — so the
  * per-edge accumulation loop walks contiguous memory across lanes.
- * Size the buffers with beginBatch(); like PlanScratch, one
- * BatchScratch must not be shared across threads.
+ * Size the buffers with beginBatch(). Reusing one scratch across
+ * calls makes the hot loop allocation-free once warm; a scratch may
+ * be moved between plans (beginBatch resizes it) but must not be
+ * shared across threads. Recurrent plans keep their cross-tick node
+ * state here (prev/curr), so the plan itself stays immutable and
+ * shareable.
  */
 struct BatchScratch
 {
@@ -106,6 +89,13 @@ struct BatchScratch
     /** Per-lane pre-activation accumulator. */
     std::vector<double> acc;
 };
+
+/**
+ * The one-lane scratch of CompiledPlan::activate: a single forward
+ * pass is the width-1 case of activateBatch, so it runs on the same
+ * buffers (outputs are then simply [output o]).
+ */
+using PlanScratch = BatchScratch;
 
 /**
  * Reusable buffers for CompiledPlan::compile/compileRecurrent.
@@ -203,28 +193,20 @@ class CompiledPlan
     NumericsTier numericsTier() const { return tier_; }
 
     /**
-     * Evaluate the plan. Feed-forward plans run every levelized layer
-     * as a dense inner loop over the CSR edge arrays; recurrent plans
-     * advance one tick (see activateRecurrent). Leaves the outputs in
-     * `scratch.outputs`. Allocation-free once `scratch` has warmed
-     * up. Thread-safe for concurrent callers with distinct scratches.
+     * Evaluate the plan on one input vector: the one-lane case of
+     * activateBatch, reading `inputs` in place. Feed-forward plans
+     * run one stateless forward pass and size `scratch` on entry;
+     * recurrent plans advance one tick from the state reset() left
+     * in `scratch`. Leaves the outputs in `scratch.outputs`.
+     * Allocation-free once `scratch` has warmed up. Thread-safe for
+     * concurrent callers with distinct scratches.
      */
     void activate(const std::vector<double> &inputs,
                   PlanScratch &scratch) const;
 
     /**
-     * Advance a recurrent plan one tick: latch `inputs`, update every
-     * node from the previous tick's values (scratch.prev), leave this
-     * tick's outputs in `scratch.outputs`. Call reset() at episode
-     * start. Only valid on recurrent plans.
-     */
-    void activateRecurrent(const std::vector<double> &inputs,
-                           PlanScratch &scratch) const;
-
-    /**
-     * Clear the recurrent state in `scratch` (start of an episode).
-     * No-op for feed-forward plans, so episode loops may call it
-     * untyped.
+     * Prepare `scratch` for one-lane activate() calls and clear any
+     * recurrent state (start of an episode): beginBatch(1, scratch).
      */
     void reset(PlanScratch &scratch) const;
 
@@ -246,7 +228,7 @@ class CompiledPlan
      * inactive lanes are carried through the accumulation loops
      * branch-free but skip the per-node activation write, so their
      * slots go stale and are never consumed. Each active lane's
-     * result is bit-identical to a serial activate() fed the same
+     * result is bit-identical to a one-lane activate() fed the same
      * inputs. Recurrent plans advance every active lane one tick.
      */
     void activateBatch(int lanes, const uint8_t *activeLanes,
@@ -290,17 +272,6 @@ class CompiledPlan
     }
 
   private:
-    /** Serial feed-forward body, specialized per numerics tier so the
-     *  Reference hot loop carries no tier branch. */
-    template <NumericsTier kTier>
-    void activateImpl(const std::vector<double> &inputs,
-                      PlanScratch &scratch) const;
-
-    /** Recurrent tick body, specialized per numerics tier. */
-    template <NumericsTier kTier>
-    void activateRecurrentImpl(const std::vector<double> &inputs,
-                               PlanScratch &scratch) const;
-
     /** Lane-width switch of activateBatch for one numerics tier. */
     template <NumericsTier kTier>
     void activateBatchDispatch(int lanes, const uint8_t *activeLanes,
@@ -313,10 +284,13 @@ class CompiledPlan
      * the any-width fallback reading the runtime `lanes`. kTier
      * selects the activation step: reference libm (masked per lane)
      * or the branch-free hw approximation + Limit & Quantize, which
-     * vectorizes across the lane dimension.
+     * vectorizes across the lane dimension. `inputs` is [input][lane]
+     * (scratch.inputs for activateBatch, the caller's vector for a
+     * one-lane activate). It is the only forward-pass body.
      */
     template <int kLanes, NumericsTier kTier>
-    void activateBatchImpl(int lanes, const uint8_t *activeLanes,
+    void activateBatchImpl(int lanes, const double *inputs,
+                           const uint8_t *activeLanes,
                            BatchScratch &scratch) const;
 
     /**

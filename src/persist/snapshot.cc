@@ -2,6 +2,8 @@
 
 #include <bit>
 #include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -482,8 +484,10 @@ applyCheckpointFromEnv(std::string &dir, int &every_n)
     if (const char *e = std::getenv("GENESYS_CHECKPOINT_EVERY");
         e != nullptr && *e != '\0') {
         char *end = nullptr;
+        errno = 0;
         const long n = std::strtol(e, &end, 10);
-        if (end == e || *end != '\0' || n <= 0) {
+        if (end == e || *end != '\0' || errno == ERANGE || n <= 0 ||
+            n > INT_MAX) {
             fatal("bad GENESYS_CHECKPOINT_EVERY \"" + std::string(e) +
                   "\" (expected a positive integer)");
         }

@@ -37,10 +37,9 @@ evaluateWith(Environment &env, Net &net,
         res.cumulativeReward = env.cumulativeReward();
         res.fitness = env.episodeFitness();
         res.steps = env.stepsTaken();
-        res.inferences = res.steps; // one forward pass per step
-        res.macs = net.macsPerInference() * res.inferences;
+        res.macs = net.macsPerInference() * res.steps;
         total += res.fitness;
-        detail.inferences += res.inferences;
+        detail.inferences += res.steps; // one forward pass per step
         detail.macs += res.macs;
         detail.maxEpisodeSteps = std::max(detail.maxEpisodeSteps, res.steps);
         detail.episodes.push_back(res);

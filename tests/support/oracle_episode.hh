@@ -1,10 +1,10 @@
 /**
  * @file
  * Episode-level oracle: evaluates a genome through the interpreter
- * phenotypes (FeedForwardNetwork / RecurrentNetwork) with the same
- * episode loop and accounting as env::EpisodeRunner, so tests can diff
- * the compiled-plan episode paths against an independent reference
- * field for field.
+ * phenotypes (FeedForwardNetwork / RecurrentNetwork) with a plain
+ * one-episode-at-a-time loop and the same accounting as
+ * env::evaluateBatched, so tests can diff the compiled-plan episode
+ * paths against an independent reference field for field.
  */
 
 #ifndef GENESYS_TESTS_SUPPORT_ORACLE_EPISODE_HH
@@ -22,7 +22,7 @@ namespace genesys::env
  * Evaluate `genome` over explicit per-episode seeds through the
  * interpreter matching `cfg.feedForward` (recurrent state is reset at
  * every episode start). Fills every EvalDetail field the way
- * EpisodeRunner::evaluateDetailed does for a compiled plan.
+ * env::evaluateBatched does for a compiled plan.
  */
 EvalDetail evaluateOracle(Environment &env, const neat::Genome &genome,
                           const neat::NeatConfig &cfg,

@@ -415,11 +415,12 @@ TEST(CompiledPlan, CompileScratchReuseIsBitIdentical)
     }
 }
 
-TEST(CompiledPlanBatch, FeedForwardLanesMatchSerialWithMasks)
+TEST(CompiledPlanBatch, FeedForwardLanesMatchOneLaneWithMasks)
 {
-    // The batched feed-forward kernel: every lane must match a serial
-    // activate() of the same inputs bit for bit, with retired lanes
-    // masked out and the survivors unperturbed.
+    // The batched feed-forward kernel: every lane must match a
+    // one-lane activate() and the interpreter oracle on the same
+    // inputs bit for bit, with retired lanes masked out and the
+    // survivors unperturbed.
     constexpr int kGenomes = 200;
     constexpr int kLanes = 5;
     constexpr int kTicks = 4;
@@ -432,11 +433,12 @@ TEST(CompiledPlanBatch, FeedForwardLanesMatchSerialWithMasks)
 
         const auto plan = CompiledPlan::compile(g, cfg);
         ASSERT_FALSE(plan.isRecurrent());
+        const auto net = FeedForwardNetwork::create(g, cfg);
 
         BatchScratch batch;
         plan.beginBatch(kLanes, batch);
         std::vector<uint8_t> active(kLanes, 1);
-        PlanScratch serial;
+        PlanScratch single;
         for (int t = 0; t < kTicks; ++t) {
             // Retire one lane per tick, from the back.
             if (t > 0)
@@ -457,11 +459,17 @@ TEST(CompiledPlanBatch, FeedForwardLanesMatchSerialWithMasks)
             for (int l = 0; l < kLanes; ++l) {
                 if (!active[static_cast<size_t>(l)])
                     continue;
-                plan.activate(lane_in[static_cast<size_t>(l)], serial);
-                for (size_t o = 0; o < serial.outputs.size(); ++o) {
+                plan.activate(lane_in[static_cast<size_t>(l)], single);
+                const auto oracle =
+                    net.activate(lane_in[static_cast<size_t>(l)]);
+                ASSERT_EQ(single.outputs.size(), oracle.size());
+                for (size_t o = 0; o < single.outputs.size(); ++o) {
                     EXPECT_TRUE(bitEqual(
                         batch.outputs[o * kLanes + static_cast<size_t>(l)],
-                        serial.outputs[o]))
+                        single.outputs[o]))
+                        << "lane " << l << " tick " << t << " output "
+                        << o;
+                    EXPECT_TRUE(bitEqual(single.outputs[o], oracle[o]))
                         << "lane " << l << " tick " << t << " output "
                         << o;
                 }

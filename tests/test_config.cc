@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "neat/genome.hh"
 
 using namespace genesys::neat;
@@ -20,6 +22,10 @@ valid()
     cfg.numOutputs = 1;
     return cfg;
 }
+
+// NaN fails every comparison, so a check written as "x < lo || x > hi"
+// would wave it through; each range check below also gets a NaN.
+const double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 } // namespace
 
@@ -56,6 +62,14 @@ TEST(NeatConfigTest, RejectsBadProbabilities)
     cfg = valid();
     cfg.partialConnectionProb = 2.0;
     EXPECT_ANY_THROW(cfg.validate());
+    for (double NeatConfig::*p :
+         {&NeatConfig::connAddProb, &NeatConfig::connDeleteProb,
+          &NeatConfig::nodeAddProb, &NeatConfig::nodeDeleteProb,
+          &NeatConfig::partialConnectionProb}) {
+        cfg = valid();
+        cfg.*p = kNaN;
+        EXPECT_ANY_THROW(cfg.validate());
+    }
 }
 
 TEST(NeatConfigTest, RejectsBadSurvivalThreshold)
@@ -64,6 +78,8 @@ TEST(NeatConfigTest, RejectsBadSurvivalThreshold)
     cfg.survivalThreshold = 0.0;
     EXPECT_ANY_THROW(cfg.validate());
     cfg.survivalThreshold = 1.5;
+    EXPECT_ANY_THROW(cfg.validate());
+    cfg.survivalThreshold = kNaN;
     EXPECT_ANY_THROW(cfg.validate());
 }
 
@@ -91,6 +107,8 @@ TEST(NeatConfigTest, RejectsNonPositiveCompatThreshold)
 {
     auto cfg = valid();
     cfg.compatibilityThreshold = 0.0;
+    EXPECT_ANY_THROW(cfg.validate());
+    cfg.compatibilityThreshold = kNaN;
     EXPECT_ANY_THROW(cfg.validate());
 }
 

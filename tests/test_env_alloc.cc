@@ -150,18 +150,27 @@ class EpisodeLoopAlloc : public ::testing::TestWithParam<std::string>
 {
 };
 
-TEST_P(EpisodeLoopAlloc, WarmRunEpisodeAllocatesNothing)
+TEST_P(EpisodeLoopAlloc, WarmOneLaneEpisodeAllocationsDoNotScaleWithSteps)
 {
+    // A single episode is the one-lane case of evaluateBatched: once
+    // the scratch is warm it allocates only the per-call result, the
+    // same count however long the episode runs.
     auto env = makeEnvironment(GetParam());
-    const auto plan = randomPlan(*env, 5);
-    EpisodeRunner runner(*env);
-    nn::PlanScratch scratch;
-    runner.runEpisode(plan, scratch, 1); // warm-up
-    EpisodeResult res;
-    const long allocs = allocationsDuring(
-        [&] { res = runner.runEpisode(plan, scratch, 2); });
-    EXPECT_EQ(allocs, 0);
-    EXPECT_GT(res.steps, 0);
+    const auto plan = randomPlan(*env, 1);
+    const std::vector<Environment *> lanes{env.get()};
+    EpisodeBatchScratch scratch;
+    evaluateBatched(plan, {1}, lanes, scratch); // warm-up
+
+    const std::vector<uint64_t> seed_a{3}, seed_b{4};
+    EvalDetail a, b;
+    const long allocs_a = allocationsDuring(
+        [&] { a = evaluateBatched(plan, seed_a, lanes, scratch); });
+    const long allocs_b = allocationsDuring(
+        [&] { b = evaluateBatched(plan, seed_b, lanes, scratch); });
+    ASSERT_GT(a.inferences, 0);
+    ASSERT_NE(a.inferences, b.inferences)
+        << "pick seeds whose episodes run different step counts";
+    EXPECT_EQ(allocs_a, allocs_b);
 }
 
 TEST_P(EpisodeLoopAlloc, BatchedAllocationsDoNotScaleWithSteps)

@@ -212,7 +212,7 @@ TEST(NumericsDivergence, RecurrentHwBitIdenticalSerialVsBatch)
         hw.beginBatch(kLanes, batch);
         std::vector<uint8_t> active(kLanes, 1);
         // 16 ticks: recurrent state must stay in lockstep between the
-        // per-lane serial runs and the batched kernel — quantized
+        // per-lane one-lane runs and the batched kernel — quantized
         // state feeding quantized state.
         for (int t = 0; t < 16; ++t) {
             std::vector<std::vector<double>> lane_in(kLanes);
@@ -227,8 +227,7 @@ TEST(NumericsDivergence, RecurrentHwBitIdenticalSerialVsBatch)
             }
             hw.activateBatch(kLanes, active.data(), batch);
             for (int l = 0; l < kLanes; ++l) {
-                hw.activateRecurrent(lane_in[static_cast<size_t>(l)],
-                                     serial[l]);
+                hw.activate(lane_in[static_cast<size_t>(l)], serial[l]);
                 for (size_t o = 0; o < serial[l].outputs.size(); ++o) {
                     ASSERT_EQ(
                         std::bit_cast<uint64_t>(

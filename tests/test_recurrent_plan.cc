@@ -5,12 +5,12 @@
  * nn::CompiledPlan::compileRecurrent must be bit-identical to the
  * nn::RecurrentNetwork interpreter — across ticks, across reset(),
  * and across batched lanes — because the engine's cross-thread and
- * batched-vs-serial determinism contracts are built on exact
+ * lane-width determinism contracts are built on exact
  * equality. The harness fuzzes ~1k random cyclic genomes through both
  * paths with multi-tick stateful episodes, pins the MAC accounting
  * (interpreter == plan == plan schedule — the hw cost model
  * invariant), and checks the batched kernel lane for lane against
- * serial ticking, including per-lane termination masks.
+ * one-lane ticking, including per-lane termination masks.
  *
  * Every genome derives from deriveSeed(kFuzzBase, index) via
  * common::rng, so any failure names a reproducible genome index.
@@ -184,8 +184,7 @@ TEST(RecurrentPlanFuzz, MatchesInterpreterAcrossTicksAndReset)
             plan.reset(scratch);
             for (int t = 0; t < kTicks; ++t) {
                 const auto expect = net.activate(stream[static_cast<size_t>(t)]);
-                plan.activateRecurrent(stream[static_cast<size_t>(t)],
-                                       scratch);
+                plan.activate(stream[static_cast<size_t>(t)], scratch);
                 ASSERT_EQ(scratch.outputs.size(), expect.size());
                 for (size_t o = 0; o < expect.size(); ++o) {
                     EXPECT_TRUE(bitEqual(scratch.outputs[o], expect[o]))
@@ -235,7 +234,7 @@ TEST(RecurrentPlanFuzz, BatchedLanesMatchSerialWithMasks)
 {
     // The batched kernel drives L lanes with distinct input streams
     // and retires them at different ticks; every lane must match a
-    // serial plan run of the same stream bit for bit, and a lane's
+    // one-lane plan run of the same stream bit for bit, and a lane's
     // retirement must not perturb the survivors.
     constexpr int kGenomes = 200;
     constexpr int kLanes = 4;
@@ -256,14 +255,14 @@ TEST(RecurrentPlanFuzz, BatchedLanesMatchSerialWithMasks)
                     randomInputs(cfg, rng));
         }
 
-        // Serial references.
+        // One-lane references.
         std::vector<std::vector<std::vector<double>>> expect(kLanes);
-        PlanScratch serial;
+        PlanScratch single;
         for (int l = 0; l < kLanes; ++l) {
-            plan.reset(serial);
+            plan.reset(single);
             for (const auto &in : streams[static_cast<size_t>(l)]) {
-                plan.activateRecurrent(in, serial);
-                expect[static_cast<size_t>(l)].push_back(serial.outputs);
+                plan.activate(in, single);
+                expect[static_cast<size_t>(l)].push_back(single.outputs);
             }
         }
 
@@ -345,15 +344,15 @@ TEST(RecurrentPlan, SelfLoopIntegratesInput)
     PlanScratch s;
     plan.reset(s);
     // y[t] = y[t-1] + x[t] -> a running sum.
-    plan.activateRecurrent({1.0}, s);
+    plan.activate({1.0}, s);
     EXPECT_NEAR(s.outputs[0], 1.0, 1e-12);
-    plan.activateRecurrent({1.0}, s);
+    plan.activate({1.0}, s);
     EXPECT_NEAR(s.outputs[0], 2.0, 1e-12);
-    plan.activateRecurrent({1.0}, s);
+    plan.activate({1.0}, s);
     EXPECT_NEAR(s.outputs[0], 3.0, 1e-12);
 
     plan.reset(s);
-    plan.activateRecurrent({1.0}, s);
+    plan.activate({1.0}, s);
     EXPECT_NEAR(s.outputs[0], 1.0, 1e-12);
 }
 
@@ -374,19 +373,14 @@ TEST(RecurrentPlan, CompileForDispatchesOnConfigMode)
     EXPECT_DOUBLE_EQ(ff.activate({1.0})[0], 0.0);
 }
 
-TEST(RecurrentPlan, FeedForwardEntryPointsRejectWrongMode)
+TEST(RecurrentPlan, TickWithoutResetPanics)
 {
     const auto cfg = recConfig();
     const auto plan =
         CompiledPlan::compileRecurrent(selfLoopGenome(1.0, 1.0), cfg);
     PlanScratch s;
     // Ticking without reset is a contract violation, not silent UB.
-    EXPECT_ANY_THROW(plan.activateRecurrent({1.0}, s));
-
-    auto ffCfg = cfg;
-    ffCfg.feedForward = true;
-    const auto ff = CompiledPlan::compile(selfLoopGenome(1.0, 1.0), ffCfg);
-    EXPECT_ANY_THROW(ff.activateRecurrent({1.0}, s));
+    EXPECT_ANY_THROW(plan.activate({1.0}, s));
 }
 
 TEST(RecurrentPlan, PlanCacheServesRecurrentPlansWithCarryOver)
@@ -408,8 +402,8 @@ TEST(RecurrentPlan, PlanCacheServesRecurrentPlansWithCarryOver)
 
     PlanScratch s;
     p2->reset(s);
-    p2->activateRecurrent({1.0}, s);
+    p2->activate({1.0}, s);
     EXPECT_NEAR(s.outputs[0], 1.0, 1e-12);
-    p2->activateRecurrent({1.0}, s);
+    p2->activate({1.0}, s);
     EXPECT_NEAR(s.outputs[0], 2.0, 1e-12);
 }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for action decoding and the episode runner.
+ * Tests for action decoding and the episode loops.
  */
 
 #include <gtest/gtest.h>
@@ -63,7 +63,7 @@ TEST(DecodeAction, TooFewOutputsThrows)
     EXPECT_ANY_THROW(decodeAction(space, {0.1, 0.2}));
 }
 
-TEST(EpisodeRunner, DeterministicEvaluation)
+TEST(EpisodeLoop, DeterministicEvaluation)
 {
     CartPole env;
     auto cfg = configForEnvironment(env);
@@ -74,11 +74,12 @@ TEST(EpisodeRunner, DeterministicEvaluation)
     const auto plan = nn::CompiledPlan::compileFor(g, cfg);
     const std::vector<uint64_t> seeds{42, 43};
 
-    // Two runners over one environment: an episode is a pure function
-    // of (plan, seed), whatever the environment ran before.
-    EpisodeRunner r1(env), r2(env);
-    const EvalDetail a = r1.evaluateDetailed(plan, seeds);
-    const EvalDetail b = r2.evaluateDetailed(plan, seeds);
+    // Two one-lane evaluations over one environment: an episode is a
+    // pure function of (plan, seed), whatever the environment ran
+    // before.
+    EpisodeBatchScratch s1, s2;
+    const EvalDetail a = evaluateBatched(plan, seeds, {&env}, s1);
+    const EvalDetail b = evaluateBatched(plan, seeds, {&env}, s2);
     EXPECT_EQ(a.fitness, b.fitness);
     EXPECT_EQ(a.inferences, b.inferences);
     EXPECT_EQ(a.macs, b.macs);
@@ -94,7 +95,7 @@ TEST(EpisodeRunner, DeterministicEvaluation)
     EXPECT_EQ(a.fitness, total / static_cast<double>(seeds.size()));
 }
 
-TEST(EpisodeRunner, CountsInferencesAndMacs)
+TEST(EpisodeLoop, CountsInferencesAndMacs)
 {
     CartPole env;
     auto cfg = configForEnvironment(env);
@@ -102,16 +103,15 @@ TEST(EpisodeRunner, CountsInferencesAndMacs)
     XorWow rng(2);
     const auto g = neat::Genome::createNew(0, cfg, idx, rng);
     const auto plan = nn::CompiledPlan::compileFor(g, cfg);
-    EpisodeRunner runner(env);
-    nn::PlanScratch scratch;
-    const auto res = runner.runEpisode(plan, scratch, 17);
-    EXPECT_EQ(res.inferences, res.steps);
+    EpisodeBatchScratch scratch;
+    const EpisodeResult res =
+        evaluateBatched(plan, {17}, {&env}, scratch).episodes.front();
     EXPECT_EQ(res.macs, res.steps * plan.macsPerInference());
     EXPECT_EQ(plan.macsPerInference(),
               static_cast<long>(g.numConnectionGenes()));
     EXPECT_GT(res.steps, 0);
 
-    const EvalDetail d = runner.evaluateDetailed(plan, {17, 18});
+    const EvalDetail d = evaluateBatched(plan, {17, 18}, {&env}, scratch);
     ASSERT_EQ(d.episodes.size(), 2u);
     EXPECT_EQ(d.episodes[0].steps, res.steps);
     EXPECT_EQ(d.inferences, d.episodes[0].steps + d.episodes[1].steps);
@@ -187,13 +187,13 @@ expectSizeMismatchPanic(Fn &&fn)
 
 } // namespace
 
-TEST(ObservationSizeGuard, RunEpisodePanicsNamingBothSizes)
+TEST(ObservationSizeGuard, OneLaneEvaluateBatchedPanicsNamingBothSizes)
 {
     const auto plan = airRaidPlan();
     CartPole env;
-    EpisodeRunner runner(env);
-    nn::PlanScratch scratch;
-    expectSizeMismatchPanic([&] { runner.runEpisode(plan, scratch, 1); });
+    EpisodeBatchScratch scratch;
+    expectSizeMismatchPanic(
+        [&] { evaluateBatched(plan, {1}, {&env}, scratch); });
 }
 
 TEST(ObservationSizeGuard, EvaluateBatchedPanicsNamingBothSizes)

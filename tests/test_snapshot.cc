@@ -626,5 +626,22 @@ TEST(CheckpointEnv, GarbageEveryIsFatal)
     setenv("GENESYS_CHECKPOINT_EVERY", "0", 1);
     EXPECT_THROW(persist::applyCheckpointFromEnv(dir, every),
                  std::runtime_error);
+    // Values that do not fit an int are rejected, not narrowed:
+    // 3000000000 would wrap negative (checkpointing silently off),
+    // 4294967297 would wrap to 1, and 99999999999999999999 overflows
+    // strtol itself (ERANGE).
+    for (const char *big :
+         {"3000000000", "4294967297", "99999999999999999999"}) {
+        SCOPED_TRACE(big);
+        setenv("GENESYS_CHECKPOINT_EVERY", big, 1);
+        every = 7;
+        EXPECT_THROW(persist::applyCheckpointFromEnv(dir, every),
+                     std::runtime_error);
+        EXPECT_EQ(every, 7);
+    }
+    // The largest int is still accepted.
+    setenv("GENESYS_CHECKPOINT_EVERY", "2147483647", 1);
+    persist::applyCheckpointFromEnv(dir, every);
+    EXPECT_EQ(every, 2147483647);
     unsetenv("GENESYS_CHECKPOINT_EVERY");
 }

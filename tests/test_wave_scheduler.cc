@@ -2,7 +2,8 @@
  * @file
  * Differential tests for the cross-genome wave scheduler: the
  * plan-heterogeneous lane kernel (env::evaluateWave) and the engine
- * path built on it must be bit-identical to the serial episode loop —
+ * path built on it must be bit-identical to running one episode at a
+ * time through the per-genome loop (env::evaluateBatched, one lane) —
  * episode for episode, genome for genome, and down to whole-run
  * RunSummary digests — at 1 and 8 threads, for feed-forward and
  * recurrent populations. The suite also locks the scheduler's
@@ -79,8 +80,17 @@ expectEpisodeIdentical(const env::EpisodeResult &a,
     EXPECT_EQ(a.fitness, b.fitness);
     EXPECT_EQ(a.cumulativeReward, b.cumulativeReward);
     EXPECT_EQ(a.steps, b.steps);
-    EXPECT_EQ(a.inferences, b.inferences);
     EXPECT_EQ(a.macs, b.macs);
+}
+
+/** One episode alone: the one-lane case of evaluateBatched. */
+env::EpisodeResult
+runAlone(const nn::CompiledPlan &plan, uint64_t seed)
+{
+    auto env = env::makeEnvironment("CartPole_v0");
+    env::EpisodeBatchScratch scratch;
+    return env::evaluateBatched(plan, {seed}, {env.get()}, scratch)
+        .episodes.front();
 }
 
 void
@@ -113,14 +123,10 @@ TEST(WaveSchedulerTest, HeterogeneousWaveMatchesSerialAcrossWidths)
 
         std::vector<env::WaveItem> items;
         std::vector<env::EpisodeResult> expect;
-        auto serial_env = env::makeEnvironment("CartPole_v0");
         for (size_t i = 0; i < plans.size(); ++i) {
             const uint64_t seed = 1000 + 17 * i;
             items.push_back({&plans[i], seed});
-            env::EpisodeRunner runner(*serial_env);
-            nn::PlanScratch scratch;
-            expect.push_back(
-                runner.runEpisode(plans[i], scratch, seed));
+            expect.push_back(runAlone(plans[i], seed));
         }
 
         for (int width : {1, 2, 5, 8, 16}) {
@@ -152,7 +158,7 @@ TEST(WaveSchedulerTest, HeterogeneousWaveMatchesSerialAcrossWidths)
             // Useful lane-steps are exactly the forward passes.
             long inferences = 0;
             for (const auto &r : wave.episodes)
-                inferences += r.inferences;
+                inferences += r.steps; // one forward pass per step
             EXPECT_EQ(wave.stats.activeLaneSteps, inferences);
             EXPECT_GT(wave.stats.occupancy(), 0.0);
             EXPECT_LE(wave.stats.occupancy(), 1.0);
@@ -165,7 +171,7 @@ TEST(WaveSchedulerTest, SharedPlanLanesGroupIntoBatchedDispatch)
     // Several episodes of the same plans, adjacent in the item queue:
     // same-plan lanes must execute through the grouped activateBatch
     // dispatch (observable in the stats) and stay bit-identical to
-    // the serial loop.
+    // the per-genome loop.
     const auto [cfg, genomes] = makeGenomes(4, 67);
     std::vector<nn::CompiledPlan> plans;
     plans.reserve(genomes.size());
@@ -194,8 +200,9 @@ TEST(WaveSchedulerTest, SharedPlanLanesGroupIntoBatchedDispatch)
     size_t k = 0;
     for (size_t i = 0; i < plans.size(); ++i) {
         auto serial_env = env::makeEnvironment("CartPole_v0");
-        env::EpisodeRunner runner(*serial_env);
-        const auto serial = runner.evaluateDetailed(plans[i], seeds[i]);
+        env::EpisodeBatchScratch bscratch;
+        const auto serial = env::evaluateBatched(
+            plans[i], seeds[i], {serial_env.get()}, bscratch);
         for (size_t e = 0; e < seeds[i].size(); ++e, ++k) {
             SCOPED_TRACE("plan " + std::to_string(i) + " episode " +
                          std::to_string(e));
@@ -220,15 +227,11 @@ TEST(WaveSchedulerTest, EmptyAndUndersubscribedWaves)
     EXPECT_EQ(empty.stats.supersteps, 0);
 
     // Fewer items than lanes: spare lanes idle but are accounted as
-    // unoccupied slots, and results still match the serial episode.
+    // unoccupied slots, and results still match the episode alone.
     std::vector<env::WaveItem> items{{&plan, 5}};
     const auto wave = env::evaluateWave(items, lanes, scratch);
     ASSERT_EQ(wave.episodes.size(), 1u);
-    auto serial_env = env::makeEnvironment("CartPole_v0");
-    env::EpisodeRunner runner(*serial_env);
-    nn::PlanScratch pscratch;
-    expectEpisodeIdentical(wave.episodes[0],
-                           runner.runEpisode(plan, pscratch, 5));
+    expectEpisodeIdentical(wave.episodes[0], runAlone(plan, 5));
     EXPECT_EQ(wave.stats.refills, 0);
     EXPECT_EQ(wave.stats.laneSlotSteps, wave.stats.supersteps * 8);
     EXPECT_EQ(wave.stats.activeLaneSteps, wave.stats.supersteps);
