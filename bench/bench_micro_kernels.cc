@@ -1168,6 +1168,41 @@ BM_CompilePlan64HiddenReusedScratch(benchmark::State &state)
 BENCHMARK(BM_CompilePlan64HiddenReusedScratch);
 
 static void
+BM_CompilePlanSparseKeysAtariScale(benchmark::State &state)
+{
+    // A late-run AirRaid-shaped genome: 128 inputs, the full-direct
+    // 768 connections plus the hidden nodes and links mutation grew,
+    // with hidden ids in the thousands (the run-global indexer never
+    // reuses ids). The key space is too sparse for the dense
+    // key -> index table, so every edge endpoint takes the fallback
+    // lookup. Reused scratch, as in the plan cache.
+    auto cfg = benchConfig(kAtariInputs, kAtariOutputs);
+    cfg.nodeAddProb = 0.5;
+    NodeIndexer idx(1800);
+    XorWow rng(12);
+    auto g = Genome::createNew(0, cfg, idx, rng);
+    for (int i = 0; i < 20; ++i)
+        g.mutate(cfg, idx, rng);
+    g.validate(cfg);
+    nn::CompileScratch scratch;
+    {
+        const auto net = nn::FeedForwardNetwork::create(g, cfg);
+        const auto plan = nn::CompiledPlan::compile(g, cfg, scratch);
+        GENESYS_ASSERT(scratch.keyToIndex.empty(),
+                       "genome keys dense enough for the direct table");
+        assertPathsMatch(net, plan, cfg, 13);
+    }
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            nn::CompiledPlan::compile(g, cfg, scratch));
+    state.counters["connections"] =
+        static_cast<double>(g.numConnectionGenes());
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(g.numGenes()));
+}
+BENCHMARK(BM_CompilePlanSparseKeysAtariScale);
+
+static void
 BM_NetworkCreate(benchmark::State &state)
 {
     const auto cfg = benchConfig(static_cast<int>(state.range(0)), 4);

@@ -1,7 +1,5 @@
 #include "neat/attributes.hh"
 
-#include <algorithm>
-
 namespace genesys::neat
 {
 
@@ -11,37 +9,10 @@ FloatAttributeSpec::initValue(XorWow &rng) const
     return clamp(rng.gaussian(initMean, initStdev));
 }
 
-double
-FloatAttributeSpec::clamp(double v) const
-{
-    return std::clamp(v, minValue, maxValue);
-}
-
-double
-FloatAttributeSpec::mutateValue(double v, XorWow &rng) const
-{
-    const double r = rng.uniform();
-    if (r < mutateRate)
-        return clamp(v + rng.gaussian(0.0, mutatePower));
-    if (r < mutateRate + replaceRate)
-        return initValue(rng);
-    return v;
-}
-
 bool
 BoolAttributeSpec::initValue(XorWow &) const
 {
     return defaultValue;
-}
-
-bool
-BoolAttributeSpec::mutateValue(bool v, XorWow &rng) const
-{
-    if (mutateRate > 0 && rng.bernoulli(mutateRate)) {
-        // neat-python re-randomizes rather than flips.
-        return rng.bernoulli(0.5);
-    }
-    return v;
 }
 
 } // namespace genesys::neat

@@ -11,6 +11,9 @@
 #ifndef GENESYS_NEAT_ATTRIBUTES_HH
 #define GENESYS_NEAT_ATTRIBUTES_HH
 
+#include <algorithm>
+#include <vector>
+
 #include "common/rng.hh"
 
 namespace genesys::neat
@@ -37,14 +40,29 @@ struct FloatAttributeSpec
     double initValue(XorWow &rng) const;
 
     /** Clamp into [minValue, maxValue]. */
-    double clamp(double v) const;
+    double
+    clamp(double v) const
+    {
+        return std::clamp(v, minValue, maxValue);
+    }
 
     /**
      * Mutate a value: with probability mutateRate perturb by
      * N(0, mutatePower); else with probability replaceRate re-init;
-     * else leave unchanged. Returns the new value.
+     * else leave unchanged. Returns the new value. Defined here (as
+     * are clamp() and BoolAttributeSpec::mutateValue()) because it
+     * runs once per gene attribute in every bred child.
      */
-    double mutateValue(double v, XorWow &rng) const;
+    double
+    mutateValue(double v, XorWow &rng) const
+    {
+        const double r = rng.uniform();
+        if (r < mutateRate)
+            return clamp(v + rng.gaussian(0.0, mutatePower));
+        if (r < mutateRate + replaceRate)
+            return initValue(rng);
+        return v;
+    }
 };
 
 /** Specification for a boolean gene attribute (connection enable). */
@@ -55,7 +73,16 @@ struct BoolAttributeSpec
     double mutateRate = 0.01;
 
     bool initValue(XorWow &rng) const;
-    bool mutateValue(bool v, XorWow &rng) const;
+
+    bool
+    mutateValue(bool v, XorWow &rng) const
+    {
+        if (mutateRate > 0 && rng.bernoulli(mutateRate)) {
+            // neat-python re-randomizes rather than flips.
+            return rng.bernoulli(0.5);
+        }
+        return v;
+    }
 };
 
 /**

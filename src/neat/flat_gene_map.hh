@@ -205,6 +205,22 @@ class FlatGeneMap
         return {iterator{this, i}, true};
     }
 
+    /**
+     * Append (key, gene) at the end. `key` must exceed every key
+     * already stored: builders that walk their source in ascending
+     * key order (crossover) skip emplace's per-gene search and
+     * mid-array inserts.
+     */
+    void
+    appendSorted(const Key &key, Gene gene)
+    {
+        GENESYS_DCHECK(keys_.empty() || keys_.back() < key,
+                       "FlatGeneMap::appendSorted: key not above the last"
+                       " stored key (" << keys_.size() << " stored)");
+        keys_.push_back(key);
+        values_.push_back(std::move(gene));
+    }
+
     /** Insert or overwrite. */
     std::pair<iterator, bool>
     insert_or_assign(const Key &key, Gene gene)
@@ -343,8 +359,8 @@ class FlatGeneMap
  * the order every gene map iterates, so RNG and floating-point
  * accumulation sequences are preserved), `onOnlyA(i)` for keys only
  * in `a`, `onOnlyB(j)` for keys only in `b`. This is the shared
- * cursor logic behind crossover, compatibility distance and aligned
- * stream length.
+ * cursor logic behind crossover (which also counts the aligned stream
+ * length) and compatibility distance.
  */
 template <typename Key, typename OnMatch, typename OnOnlyA,
           typename OnOnlyB>

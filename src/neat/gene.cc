@@ -64,32 +64,4 @@ ConnectionGene::createNew(ConnKey key, const NeatConfig &cfg, XorWow &rng)
     return g;
 }
 
-double
-ConnectionGene::distance(const ConnectionGene &other) const
-{
-    double d = std::fabs(weight - other.weight);
-    if (enabled != other.enabled)
-        d += 1.0;
-    return d;
-}
-
-ConnectionGene
-ConnectionGene::crossover(const ConnectionGene &other, XorWow &rng,
-                          double bias_toward_self) const
-{
-    ConnectionGene child;
-    child.key = key;
-    child.weight = rng.uniform() < bias_toward_self ? weight : other.weight;
-    child.enabled =
-        rng.uniform() < bias_toward_self ? enabled : other.enabled;
-    return child;
-}
-
-void
-ConnectionGene::mutate(const NeatConfig &cfg, XorWow &rng)
-{
-    weight = cfg.weight.mutateValue(weight, rng);
-    enabled = cfg.enabled.mutateValue(enabled, rng);
-}
-
 } // namespace genesys::neat

@@ -12,6 +12,7 @@
 #ifndef GENESYS_NEAT_GENE_HH
 #define GENESYS_NEAT_GENE_HH
 
+#include <cmath>
 #include <cstdint>
 #include <utility>
 
@@ -60,7 +61,12 @@ struct NodeGene
     void mutate(const NeatConfig &cfg, XorWow &rng);
 };
 
-/** A synapse gene, keyed by (source, destination). */
+/**
+ * A synapse gene, keyed by (source, destination). Connection genes
+ * outnumber node genes by an order of magnitude, so their per-gene
+ * crossover, mutation and distance bodies are defined here, where
+ * breeding and speciation inline them.
+ */
 struct ConnectionGene
 {
     ConnKey key{0, 0};
@@ -71,13 +77,35 @@ struct ConnectionGene
                                     XorWow &rng);
 
     /** |Δweight| + enabled mismatch. */
-    double distance(const ConnectionGene &other) const;
+    double
+    distance(const ConnectionGene &other) const
+    {
+        double d = std::fabs(weight - other.weight);
+        if (enabled != other.enabled)
+            d += 1.0;
+        return d;
+    }
 
     /** Per-attribute uniform crossover (see NodeGene::crossover). */
-    ConnectionGene crossover(const ConnectionGene &other, XorWow &rng,
-                             double bias_toward_self = 0.5) const;
+    ConnectionGene
+    crossover(const ConnectionGene &other, XorWow &rng,
+              double bias_toward_self = 0.5) const
+    {
+        ConnectionGene child;
+        child.key = key;
+        child.weight =
+            rng.uniform() < bias_toward_self ? weight : other.weight;
+        child.enabled =
+            rng.uniform() < bias_toward_self ? enabled : other.enabled;
+        return child;
+    }
 
-    void mutate(const NeatConfig &cfg, XorWow &rng);
+    void
+    mutate(const NeatConfig &cfg, XorWow &rng)
+    {
+        weight = cfg.weight.mutateValue(weight, rng);
+        enabled = cfg.enabled.mutateValue(enabled, rng);
+    }
 };
 
 } // namespace genesys::neat

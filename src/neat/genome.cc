@@ -120,53 +120,51 @@ Genome::createNew(int key, const NeatConfig &cfg, NodeIndexer &indexer,
 
 Genome
 Genome::crossover(int child_key, const Genome &parent1,
-                  const Genome &parent2, XorWow &rng, MutationCounts *counts)
+                  const Genome &parent2, XorWow &rng, MutationCounts *counts,
+                  size_t *aligned_stream_len)
 {
     Genome child(child_key);
 
     // Merge-join over the sorted key arrays: parent1 drives (its key
     // order fixes the RNG stream, exactly as the old map iteration
     // did), parent2 advances a cursor instead of paying a lookup per
-    // gene. Parent2-only (excess/disjoint) genes are not inherited.
-    {
-        const auto &k1 = parent1.nodes_.keys();
-        const auto &v1 = parent1.nodes_.values();
-        const auto &v2 = parent2.nodes_.values();
-        child.nodes_.reserve(k1.size());
+    // gene. Parent2-only (excess/disjoint) genes are not inherited,
+    // only counted for the aligned stream length. The child's keys
+    // are therefore parent1's, in ascending order, so every gene is
+    // an append. The headroom covers mutate()'s structural adds (a
+    // node add brings two connections, a connection add one more) so
+    // they do not reallocate the arrays.
+    long homologous = 0;
+    long cloned = 0;
+    long only_in_parent2 = 0;
+    const auto breed = [&](const auto &map1, const auto &map2, auto &out,
+                           size_t headroom) {
+        const auto &k1 = map1.keys();
+        const auto &v1 = map1.values();
+        const auto &v2 = map2.values();
+        out.reserve(k1.size() + headroom);
         mergeJoinSorted(
-            k1, parent2.nodes_.keys(),
+            k1, map2.keys(),
             [&](size_t i, size_t j) {
-                child.nodes_.emplace(k1[i], v1[i].crossover(v2[j], rng));
-                if (counts)
-                    ++counts->crossoverOps;
+                out.appendSorted(k1[i], v1[i].crossover(v2[j], rng));
+                ++homologous;
             },
             [&](size_t i) {
-                child.nodes_.emplace(k1[i], v1[i]);
-                if (counts)
-                    ++counts->cloneOps;
+                out.appendSorted(k1[i], v1[i]);
+                ++cloned;
             },
-            [](size_t) {});
+            [&](size_t) { ++only_in_parent2; });
+    };
+    breed(parent1.nodes_, parent2.nodes_, child.nodes_, 1);
+    breed(parent1.connections_, parent2.connections_, child.connections_, 3);
+
+    if (counts) {
+        counts->crossoverOps += homologous;
+        counts->cloneOps += cloned;
     }
-    {
-        const auto &k1 = parent1.connections_.keys();
-        const auto &v1 = parent1.connections_.values();
-        const auto &v2 = parent2.connections_.values();
-        child.connections_.reserve(k1.size());
-        mergeJoinSorted(
-            k1, parent2.connections_.keys(),
-            [&](size_t i, size_t j) {
-                child.connections_.emplace(
-                    k1[i], v1[i].crossover(v2[j], rng));
-                if (counts)
-                    ++counts->crossoverOps;
-            },
-            [&](size_t i) {
-                child.connections_.emplace(k1[i], v1[i]);
-                if (counts)
-                    ++counts->cloneOps;
-            },
-            [](size_t) {});
-    }
+    if (aligned_stream_len)
+        *aligned_stream_len =
+            static_cast<size_t>(homologous + cloned + only_in_parent2);
     child.nodes_.dcheckInvariants("Genome::crossover nodes");
     child.connections_.dcheckInvariants("Genome::crossover connections");
     return child;

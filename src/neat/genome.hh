@@ -145,11 +145,14 @@ class Genome
      * Sexual reproduction (Fig 3(d) "Crossover"): homologous genes do
      * per-attribute uniform selection; disjoint/excess genes are
      * inherited from the fitter parent. `parent1` must be the fitter
-     * parent (ties broken by the caller).
+     * parent (ties broken by the caller). With `aligned_stream_len`,
+     * also reports the size of the union of both parents' gene keys:
+     * the aligned gene-pair stream EvE's crossover engine consumes.
      */
     static Genome crossover(int child_key, const Genome &parent1,
                             const Genome &parent2, XorWow &rng,
-                            MutationCounts *counts = nullptr);
+                            MutationCounts *counts = nullptr,
+                            size_t *aligned_stream_len = nullptr);
 
     // --- mutation -----------------------------------------------------------
     /**
@@ -160,9 +163,11 @@ class Genome
                           XorWow &rng);
 
     /**
-     * Split a random enabled connection with a new node (Fig 3(d)
-     * "Mutation: Add Gene" for nodes). Returns the new node key, or
-     * -1 if no connection was available.
+     * Split a connection with a new node (Fig 3(d) "Mutation: Add
+     * Gene" for nodes). The connection is picked uniformly among all
+     * connection genes, disabled ones included, as neat-python's
+     * mutate_add_node does; it ends up disabled either way. Returns
+     * the new node key, or -1 if the genome has no connection.
      */
     int mutateAddNode(const NeatConfig &cfg, NodeIndexer &indexer,
                       XorWow &rng);

@@ -8,32 +8,6 @@
 namespace genesys::neat
 {
 
-namespace
-{
-
-/** Keys of `b` absent from `a` (both arrays sorted): one merge pass. */
-template <typename Key>
-size_t
-countMissing(const std::vector<Key> &a, const std::vector<Key> &b)
-{
-    size_t n = 0;
-    mergeJoinSorted(
-        a, b, [](size_t, size_t) {}, [](size_t) {},
-        [&n](size_t) { ++n; });
-    return n;
-}
-
-/** Size of the union of two genomes' gene keys (aligned stream). */
-size_t
-alignedStreamLength(const Genome &a, const Genome &b)
-{
-    return a.numNodeGenes() + a.numConnectionGenes() +
-           countMissing(a.nodes().keys(), b.nodes().keys()) +
-           countMissing(a.connections().keys(), b.connections().keys());
-}
-
-} // namespace
-
 Reproduction::Reproduction(const NeatConfig &cfg)
     : cfg_(cfg), stagnation_(cfg),
       nodeIndexer_(cfg.numOutputs)
@@ -285,10 +259,9 @@ Reproduction::reproduce(SpeciesSet &species,
                 rec.parent2Key = p2_key;
                 rec.parent1Genes = p1.numGenes();
                 rec.parent2Genes = p2.numGenes();
-                rec.alignedStreamLen = alignedStreamLength(p1, p2);
 
-                Genome child =
-                    Genome::crossover(child_key, p1, p2, rng, &rec.ops);
+                Genome child = Genome::crossover(
+                    child_key, p1, p2, rng, &rec.ops, &rec.alignedStreamLen);
                 rec.ops += child.mutate(cfg_, nodeIndexer_, rng);
 
                 rec.childNodeGenes = child.numNodeGenes();

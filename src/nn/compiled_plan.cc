@@ -92,7 +92,19 @@ indexOf(const CompileScratch &s, int num_inputs, int key)
             return -1;
         return s.keyToIndex[pos];
     }
-    auto it = std::lower_bound(s.keys.begin(), s.keys.end(), key);
+    // Sparse key space. Inputs sit at key + num_inputs. Node keys are
+    // strictly ascending and non-negative, so node key k can only sit
+    // at num_inputs + k or earlier, and sits exactly there when every
+    // smaller node id is present, which always holds for the outputs.
+    // Only the rest binary-search, over the node range.
+    if (key < 0)
+        return key < -num_inputs ? -1 : key + num_inputs;
+    const auto direct =
+        static_cast<size_t>(num_inputs) + static_cast<size_t>(key);
+    if (direct < s.keys.size() && s.keys[direct] == key)
+        return static_cast<int32_t>(direct);
+    const auto first = s.keys.begin() + num_inputs;
+    auto it = std::lower_bound(first, s.keys.end(), key);
     if (it == s.keys.end() || *it != key)
         return -1;
     return static_cast<int32_t>(it - s.keys.begin());

@@ -5,7 +5,8 @@
  * A debug-check layer that silently never triggers is worse than
  * none, so this suite corrupts real structures and expects the
  * checked build to panic: a FlatGeneMap whose embedded gene key
- * disagrees with the sorted key array, and a batched plan driven with
+ * disagrees with the sorted key array, an out-of-order
+ * FlatGeneMap::appendSorted, and a batched plan driven with
  * a hand-shrunk accumulator the size ASSERTs cannot see. In an
  * unchecked build the same corruptions must go unnoticed (the macros
  * compile out), which doubles as the zero-overhead-contract test —
@@ -86,6 +87,26 @@ TEST(CheckedInvariants, CorruptedEmbeddedGeneKeyPanics)
     }
     EXPECT_THROW(map.dcheckInvariants("corrupted map"),
                  std::logic_error);
+}
+
+TEST(CheckedInvariants, OutOfOrderAppendSortedPanics)
+{
+    FlatGeneMap<int, NodeGene> map = threeNodes();
+    NodeGene ng;
+    ng.key = 10;
+    map.appendSorted(10, ng); // above the last key: fine
+    if (!checksEnabled()) {
+        GTEST_SKIP() << "appendSorted's order check is only compiled "
+                        "in (and enabled) with GENESYS_CHECKED";
+    }
+    // Below and equal to the last key: either would break the
+    // strictly-ascending key array every lookup binary-searches.
+    ng.key = 4;
+    EXPECT_THROW(map.appendSorted(4, ng), std::logic_error);
+    ng.key = 10;
+    EXPECT_THROW(map.appendSorted(10, ng), std::logic_error);
+    EXPECT_EQ(map.size(), 4u);
+    map.dcheckInvariants("rejected appends leave the map intact");
 }
 
 TEST(CheckedInvariants, MisSizedBatchAccumulatorPanics)

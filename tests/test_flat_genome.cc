@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "core/genesys.hh"
@@ -17,6 +18,7 @@
 #include "neat/reproduction.hh"
 #include "nn/compiled_plan.hh"
 #include "support/feedforward.hh"
+#include "support/recurrent.hh"
 
 using namespace genesys;
 using namespace genesys::neat;
@@ -182,6 +184,173 @@ TEST(FlatGenome, CrossoverMergeJoinMatchesLookupSemantics)
               static_cast<long>(p1.numGenes()) - homologous);
 }
 
+namespace
+{
+
+/**
+ * Crossover as it was built before the child arrays were appended:
+ * parent1's genes in key order, each emplaced into the child after a
+ * lookup in parent2, and the aligned stream length counted as the
+ * union of both parents' keys. Same RNG draws in the same order.
+ */
+Genome
+emplaceCrossover(int child_key, const Genome &p1, const Genome &p2,
+                 XorWow &rng, MutationCounts &counts, size_t &stream_len)
+{
+    Genome child(child_key);
+    for (const auto &[k, g] : p1.nodes()) {
+        const auto it = p2.nodes().find(k);
+        if (it != p2.nodes().end()) {
+            child.mutableNodes().emplace(k, g.crossover(it->second, rng));
+            ++counts.crossoverOps;
+        } else {
+            child.mutableNodes().emplace(k, g);
+            ++counts.cloneOps;
+        }
+    }
+    for (const auto &[k, g] : p1.connections()) {
+        const auto it = p2.connections().find(k);
+        if (it != p2.connections().end()) {
+            child.mutableConnections().emplace(k,
+                                               g.crossover(it->second, rng));
+            ++counts.crossoverOps;
+        } else {
+            child.mutableConnections().emplace(k, g);
+            ++counts.cloneOps;
+        }
+    }
+    stream_len = p1.numGenes();
+    for (int k : p2.nodes().keys())
+        stream_len += p1.nodes().contains(k) ? 0 : 1;
+    for (const ConnKey &k : p2.connections().keys())
+        stream_len += p1.connections().contains(k) ? 0 : 1;
+    return child;
+}
+
+bool
+sameStream(const XorWow &a, const XorWow &b)
+{
+    const XorWowState sa = a.saveState();
+    const XorWowState sb = b.saveState();
+    return std::equal(std::begin(sa.state), std::end(sa.state),
+                      std::begin(sb.state)) &&
+           sa.weyl == sb.weyl &&
+           sa.hasCachedGaussian == sb.hasCachedGaussian &&
+           std::bit_cast<uint64_t>(sa.cachedGaussian) ==
+               std::bit_cast<uint64_t>(sb.cachedGaussian);
+}
+
+/** Keys of `a` absent from `b`, split into disjoint and excess. */
+template <typename Key>
+void
+countUnmatched(const std::vector<Key> &a, const std::vector<Key> &b,
+               long &disjoint, long &excess)
+{
+    for (const Key &k : a) {
+        if (std::binary_search(b.begin(), b.end(), k))
+            continue;
+        if (!b.empty() && k < b.back())
+            ++disjoint;
+        else
+            ++excess;
+    }
+}
+
+} // namespace
+
+TEST(FlatGenome, AppendedCrossoverMatchesEmplaceReference)
+{
+    NeatConfig cfg;
+    cfg.numInputs = 4;
+    cfg.numOutputs = 3;
+    cfg.nodeAddProb = 0.5;
+    cfg.connAddProb = 0.6;
+    NeatConfig bare = cfg;
+    bare.initialConnection = InitialConnection::Unconnected;
+
+    // Unmatched genes seen on each side over the whole sample, so the
+    // test proves it exercised every merge branch.
+    long disjoint1 = 0, excess1 = 0, disjoint2 = 0, excess2 = 0;
+    int bare_pairs = 0;
+    for (uint64_t seed = 1; seed <= 120; ++seed) {
+        XorWow grow(seed);
+        NodeIndexer idx(cfg.numOutputs);
+        auto p1 = Genome::createNew(1, cfg, idx, grow);
+        auto p2 = Genome::createNew(2, cfg, idx, grow);
+        const int m1 = static_cast<int>(grow.uniformInt(16));
+        const int m2 = static_cast<int>(grow.uniformInt(16));
+        for (int i = 0; i < m1; ++i)
+            p1.mutate(cfg, idx, grow);
+        for (int i = 0; i < m2; ++i)
+            p2.mutate(cfg, idx, grow);
+        // Every 8th pair breeds with a connectionless parent, on
+        // alternating sides.
+        if (seed % 8 == 0) {
+            Genome &target = (seed % 16 == 0) ? p1 : p2;
+            target = Genome::createNew(target.key(), bare, idx, grow);
+            ++bare_pairs;
+        }
+        countUnmatched(p1.nodes().keys(), p2.nodes().keys(), disjoint1,
+                       excess1);
+        countUnmatched(p1.connections().keys(), p2.connections().keys(),
+                       disjoint1, excess1);
+        countUnmatched(p2.nodes().keys(), p1.nodes().keys(), disjoint2,
+                       excess2);
+        countUnmatched(p2.connections().keys(), p1.connections().keys(),
+                       disjoint2, excess2);
+
+        XorWow rng_ref(seed * 7919);
+        XorWow rng(seed * 7919);
+        // Pre-seeded counts: crossover must add to them, not reset.
+        MutationCounts ref_counts;
+        ref_counts.crossoverOps = 5;
+        ref_counts.cloneOps = 2;
+        MutationCounts counts = ref_counts;
+        size_t ref_len = 0;
+        const Genome ref =
+            emplaceCrossover(9, p1, p2, rng_ref, ref_counts, ref_len);
+        size_t len = 0;
+        const Genome child = Genome::crossover(9, p1, p2, rng, &counts, &len);
+
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        EXPECT_EQ(child.key(), 9);
+        ASSERT_EQ(child.nodes().keys(), ref.nodes().keys());
+        ASSERT_EQ(child.connections().keys(), ref.connections().keys());
+        for (size_t i = 0; i < ref.numNodeGenes(); ++i) {
+            const NodeGene &a = child.nodes().valueAt(i);
+            const NodeGene &b = ref.nodes().valueAt(i);
+            EXPECT_EQ(a.key, b.key);
+            EXPECT_EQ(std::bit_cast<uint64_t>(a.bias),
+                      std::bit_cast<uint64_t>(b.bias));
+            EXPECT_EQ(std::bit_cast<uint64_t>(a.response),
+                      std::bit_cast<uint64_t>(b.response));
+            EXPECT_EQ(a.activation, b.activation);
+            EXPECT_EQ(a.aggregation, b.aggregation);
+        }
+        for (size_t i = 0; i < ref.numConnectionGenes(); ++i) {
+            const ConnectionGene &a = child.connections().valueAt(i);
+            const ConnectionGene &b = ref.connections().valueAt(i);
+            EXPECT_EQ(a.key, b.key);
+            EXPECT_EQ(std::bit_cast<uint64_t>(a.weight),
+                      std::bit_cast<uint64_t>(b.weight));
+            EXPECT_EQ(a.enabled, b.enabled);
+        }
+        EXPECT_TRUE(sameStream(rng, rng_ref));
+        EXPECT_EQ(counts.crossoverOps, ref_counts.crossoverOps);
+        EXPECT_EQ(counts.cloneOps, ref_counts.cloneOps);
+        EXPECT_EQ(counts.perturbOps, ref_counts.perturbOps);
+        EXPECT_EQ(counts.addOps, ref_counts.addOps);
+        EXPECT_EQ(counts.deleteOps, ref_counts.deleteOps);
+        EXPECT_EQ(len, ref_len);
+        child.validate(cfg);
+    }
+    EXPECT_EQ(bare_pairs, 15);
+    EXPECT_GT(disjoint1, 0);
+    EXPECT_GT(excess1, 0);
+    EXPECT_GT(disjoint2, 0);
+    EXPECT_GT(excess2, 0);
+}
+
 // --- single-pass validate ----------------------------------------------------
 
 TEST(FlatGenome, ValidateReportsTheOffendingCycleEdge)
@@ -267,41 +436,143 @@ TEST(FlatGenome, ValidateNamesACycleEdgeNotADownstreamEdge)
     }
 }
 
+namespace
+{
+
+/**
+ * The sparse-key test genome with its node ids passed through
+ * `remap` (which must be monotonic, so gene order, slot assignment
+ * and link order are unchanged): 3 inputs, outputs 0..2, hidden
+ * nodes 3 and 5 just above the outputs and 1'000'000 and 2'000'000
+ * far above. Edges leave an input, an output, a near hidden node and
+ * a far one; one edge is disabled.
+ */
+template <typename Remap>
+Genome
+sparseKeyGenome(Remap remap)
+{
+    XorWow rng(31);
+    Genome g(0);
+    for (int k : {0, 1, 2, 3, 5, 1'000'000, 2'000'000}) {
+        NodeGene n;
+        n.key = remap(k);
+        n.bias = rng.uniform(-1.0, 1.0);
+        n.response = rng.uniform(0.5, 1.5);
+        g.mutableNodes().emplace(n.key, n);
+    }
+    auto add = [&](int a, int b, bool enabled = true) {
+        ConnectionGene c;
+        c.key = {a < 0 ? a : remap(a), remap(b)};
+        c.weight = rng.uniform(-2.0, 2.0);
+        c.enabled = enabled;
+        g.mutableConnections().emplace(c.key, c);
+    };
+    add(-1, 3);
+    add(-2, 1'000'000);
+    add(-3, 0);
+    add(-1, 2'000'000);
+    add(-2, 2, /*enabled=*/false);
+    add(3, 1'000'000);         // near hidden -> far hidden
+    add(3, 5);                 // near hidden -> near hidden
+    add(1'000'000, 1);         // far hidden -> output
+    add(1'000'000, 2'000'000); // far hidden -> far hidden
+    add(2'000'000, 1);
+    add(0, 5);                 // output -> near hidden
+    add(5, 2);
+    return g;
+}
+
+/** Outputs of `a` and `b` agree bit for bit over `ticks` activations. */
+void
+expectSameOutputs(const nn::CompiledPlan &a, const nn::CompiledPlan &b,
+                  int num_inputs, uint64_t seed, int ticks)
+{
+    XorWow rng(seed);
+    nn::PlanScratch sa, sb;
+    if (a.isRecurrent()) {
+        a.reset(sa);
+        b.reset(sb);
+    }
+    for (int t = 0; t < ticks; ++t) {
+        std::vector<double> in(static_cast<size_t>(num_inputs));
+        for (auto &x : in)
+            x = rng.uniform(-4.0, 4.0);
+        a.activate(in, sa);
+        b.activate(in, sb);
+        ASSERT_EQ(sa.outputs.size(), sb.outputs.size());
+        for (size_t o = 0; o < sa.outputs.size(); ++o) {
+            EXPECT_EQ(std::bit_cast<uint64_t>(sa.outputs[o]),
+                      std::bit_cast<uint64_t>(sb.outputs[o]))
+                << "tick " << t << " output " << o;
+        }
+    }
+}
+
+} // namespace
+
 TEST(FlatGenome, SparseNodeKeysCompileThroughTheBinarySearchPath)
 {
     // Late-run genomes carry few genes with huge ids (the node
     // indexer never reuses keys). Compile must not direct-address
-    // such a key space; the fallback must produce the same network.
+    // such a key space; the fallback lookup must produce the same
+    // network: against the interpreter oracles on the reference tier,
+    // and against the same genome renumbered densely (which compiles
+    // through the direct-address table) on both tiers.
     NeatConfig cfg;
-    cfg.numInputs = 2;
-    cfg.numOutputs = 1;
-    XorWow rng(31);
-    Genome g(0);
-    NodeGene out;
-    out.key = 0;
-    out.bias = 0.3;
-    g.mutableNodes().emplace(0, out);
-    NodeGene far;
-    far.key = 1'000'000; // forces the sparse (binary search) path
-    far.bias = -0.2;
-    g.mutableNodes().emplace(far.key, far);
-    auto add = [&g, &rng](int a, int b) {
-        ConnectionGene c;
-        c.key = {a, b};
-        c.weight = rng.gaussian();
-        g.mutableConnections().emplace(c.key, c);
-    };
-    add(-1, far.key);
-    add(-2, far.key);
-    add(far.key, 0);
-    add(-1, 0);
+    cfg.numInputs = 3;
+    cfg.numOutputs = 3;
+    const auto sparse = sparseKeyGenome([](int k) { return k; });
+    const auto dense = sparseKeyGenome([](int k) {
+        return k == 1'000'000 ? 6 : k == 2'000'000 ? 7 : k;
+    });
+    sparse.validate(cfg);
+    dense.validate(cfg);
 
-    const auto net = nn::FeedForwardNetwork::create(g, cfg);
-    const auto plan = nn::CompiledPlan::compile(g, cfg);
-    for (int t = 0; t < 8; ++t) {
+    nn::CompileScratch scratch;
+    for (const auto tier :
+         {nn::NumericsTier::Reference, nn::NumericsTier::HwFaithful}) {
+        const auto ff = nn::CompiledPlan::compile(sparse, cfg, scratch, tier);
+        ASSERT_TRUE(scratch.keyToIndex.empty())
+            << "sparse genome took the direct-address table";
+        const auto ff_dense =
+            nn::CompiledPlan::compile(dense, cfg, scratch, tier);
+        ASSERT_FALSE(scratch.keyToIndex.empty())
+            << "renumbered genome missed the direct-address table";
+        expectSameOutputs(ff, ff_dense, cfg.numInputs, 7, 16);
+
+        const auto rec =
+            nn::CompiledPlan::compileRecurrent(sparse, cfg, scratch, tier);
+        ASSERT_TRUE(scratch.keyToIndex.empty());
+        const auto rec_dense =
+            nn::CompiledPlan::compileRecurrent(dense, cfg, scratch, tier);
+        expectSameOutputs(rec, rec_dense, cfg.numInputs, 8, 16);
+    }
+
+    XorWow rng(9);
+    const auto net = nn::FeedForwardNetwork::create(sparse, cfg);
+    const auto plan = nn::CompiledPlan::compile(sparse, cfg);
+    auto rnet = nn::RecurrentNetwork::create(sparse, cfg);
+    const auto rplan = nn::CompiledPlan::compileRecurrent(sparse, cfg);
+    nn::PlanScratch rs;
+    rplan.reset(rs);
+    for (int t = 0; t < 16; ++t) {
         const std::vector<double> in{rng.uniform(-2.0, 2.0),
+                                     rng.uniform(-2.0, 2.0),
                                      rng.uniform(-2.0, 2.0)};
-        EXPECT_EQ(plan.activate(in), net.activate(in));
+        const auto expect = net.activate(in);
+        const auto got = plan.activate(in);
+        ASSERT_EQ(got.size(), expect.size());
+        for (size_t o = 0; o < expect.size(); ++o)
+            EXPECT_EQ(std::bit_cast<uint64_t>(got[o]),
+                      std::bit_cast<uint64_t>(expect[o]))
+                << "feed-forward tick " << t << " output " << o;
+        const auto rexpect = rnet.activate(in);
+        rplan.activate(in, rs);
+        ASSERT_EQ(rs.outputs.size(), rexpect.size());
+        for (size_t o = 0; o < rexpect.size(); ++o)
+            EXPECT_EQ(std::bit_cast<uint64_t>(rs.outputs[o]),
+                      std::bit_cast<uint64_t>(rexpect[o]))
+                << "recurrent tick " << t << " output " << o;
     }
 }
 
