@@ -28,7 +28,6 @@
 #include "hw/eve.hh"
 #include "hw/gene_encoding.hh"
 #include "nn/compiled_plan.hh"
-#include "nn/levelize.hh"
 
 using namespace genesys;
 using namespace genesys::core;
@@ -224,8 +223,8 @@ main()
         // The analytical ADAM model prices a forward pass in
         // systolic-array cycles at the paper's 200 MHz; the HwFaithful
         // software tier executes the same Q6.10-quantized arithmetic
-        // on the host, over schedules derived from the same
-        // topological layers (scheduleForLayers — shared by
+        // on the host, and the model prices the schedule the plan
+        // itself executes (CompiledPlan::schedule() — shared by
         // construction). Dividing model cycles by measured seconds
         // per pass gives the host clock at which the software tier
         // "emulates" ADAM. The check is the TREND, not the absolute:
@@ -248,11 +247,10 @@ main()
         double sink = 0.0;
         for (int hidden : {16, 64, 128}) {
             const auto g = denseBenchGenome(ncfg, hidden, 99);
-            const auto plan = nn::CompiledPlan::compile(
+            const auto plan = nn::CompiledPlan::compileFor(
                 g, ncfg, nn::NumericsTier::HwFaithful);
             const long cycles =
-                adam.simulateGenome(nn::levelize(g, ncfg))
-                    .totalCycles();
+                adam.simulateGenome(plan.schedule()).totalCycles();
 
             std::vector<double> in(
                 static_cast<size_t>(ncfg.numInputs), 0.5);

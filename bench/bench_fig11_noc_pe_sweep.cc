@@ -68,7 +68,8 @@ main()
             const auto &g =
                 sys.population().genomes().begin()->second;
             inference.emplace_back(
-                nn::levelize(g, sys.neatConfig()),
+                nn::CompiledPlan::compileFor(g, sys.neatConfig())
+                    .schedule(),
                 sys.reports().back().inferenceSteps /
                     static_cast<long>(
                         sys.population().genomes().size()));

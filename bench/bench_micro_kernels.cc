@@ -17,7 +17,7 @@
 #include "hw/gene_split.hh"
 #include "nn/compiled_plan.hh"
 #include "nn/hw_activations.hh"
-#include "nn/levelize.hh"
+#include "support/genome_analysis.hh"
 #include "obs/telemetry.hh"
 #include "support/recurrent.hh"
 
@@ -199,7 +199,7 @@ BENCHMARK(BM_NetworkActivate)->Arg(4)->Arg(24)->Arg(128);
 //    FeedForwardNetwork::create (the tests/support oracle) per
 //    evaluation plus a separate nn::levelize per genome for the
 //    hardware model. The compiled
-//    path is one CompiledPlan::compile, cached per generation, whose
+//    path is one CompiledPlan::compileFor, cached per generation, whose
 //    schedule() replaces the levelize call outright. The Arg is the
 //    episode length; CartPole episodes run ~10-60 steps for most of
 //    a run (the 200-step cap is only reached by solved policies).
@@ -215,7 +215,7 @@ BM_ActivateStepInterpreter64Hidden(benchmark::State &state)
     const auto cfg = benchConfig(kCmpInputs, kCmpOutputs);
     const auto g = denseGenome(cfg, kCmpHidden, kCmpSeed);
     const auto net = nn::FeedForwardNetwork::create(g, cfg);
-    const auto plan = nn::CompiledPlan::compile(g, cfg);
+    const auto plan = nn::CompiledPlan::compileFor(g, cfg);
     assertPathsMatch(net, plan, cfg, kCmpSeed + 1);
 
     std::vector<double> inputs(net.numInputs(), 0.5);
@@ -234,7 +234,7 @@ BM_ActivateStepCompiled64Hidden(benchmark::State &state)
     const auto cfg = benchConfig(kCmpInputs, kCmpOutputs);
     const auto g = denseGenome(cfg, kCmpHidden, kCmpSeed);
     const auto net = nn::FeedForwardNetwork::create(g, cfg);
-    const auto plan = nn::CompiledPlan::compile(g, cfg);
+    const auto plan = nn::CompiledPlan::compileFor(g, cfg);
     assertPathsMatch(net, plan, cfg, kCmpSeed + 1);
 
     std::vector<double> inputs(plan.numInputs(), 0.5);
@@ -258,7 +258,7 @@ BM_EvalPathInterpreter64Hidden(benchmark::State &state)
     const auto g = denseGenome(cfg, kCmpHidden, kCmpSeed);
     {
         const auto net = nn::FeedForwardNetwork::create(g, cfg);
-        const auto plan = nn::CompiledPlan::compile(g, cfg);
+        const auto plan = nn::CompiledPlan::compileFor(g, cfg);
         assertPathsMatch(net, plan, cfg, kCmpSeed + 1);
     }
     const auto steps = static_cast<int>(state.range(0));
@@ -284,7 +284,7 @@ BM_EvalPathCompiled64Hidden(benchmark::State &state)
     const auto g = denseGenome(cfg, kCmpHidden, kCmpSeed);
     {
         const auto net = nn::FeedForwardNetwork::create(g, cfg);
-        const auto plan = nn::CompiledPlan::compile(g, cfg);
+        const auto plan = nn::CompiledPlan::compileFor(g, cfg);
         assertPathsMatch(net, plan, cfg, kCmpSeed + 1);
     }
     const auto steps = static_cast<int>(state.range(0));
@@ -294,7 +294,7 @@ BM_EvalPathCompiled64Hidden(benchmark::State &state)
         // The compiled per-genome work: one compile (the plan cache
         // guarantees it runs once per generation); schedule() is a
         // field read, not a second graph walk.
-        const auto plan = nn::CompiledPlan::compile(g, cfg);
+        const auto plan = nn::CompiledPlan::compileFor(g, cfg);
         benchmark::DoNotOptimize(plan.schedule().totalMacs());
         for (int s = 0; s < steps; ++s) {
             plan.activate(inputs, scratch);
@@ -372,7 +372,7 @@ evalPathSerialEpisodes(benchmark::State &state, const NeatConfig &cfg,
                        const Genome &g)
 {
     {
-        const auto plan = nn::CompiledPlan::compile(g, cfg);
+        const auto plan = nn::CompiledPlan::compileFor(g, cfg);
         assertBatchMatchesOneLane(plan, cfg, kCmpSeed + 2);
     }
     const auto steps = static_cast<int>(state.range(0));
@@ -383,7 +383,7 @@ evalPathSerialEpisodes(benchmark::State &state, const NeatConfig &cfg,
         // kCmpLanes episodes, one at a time — the engine's episode
         // loop before batching.
         const auto plan =
-            nn::CompiledPlan::compile(g, cfg, compile_scratch);
+            nn::CompiledPlan::compileFor(g, cfg, compile_scratch);
         for (int e = 0; e < kCmpLanes; ++e) {
             for (int s = 0; s < steps; ++s) {
                 plan.activate(inputs, scratch);
@@ -402,7 +402,7 @@ evalPathBatchedEpisodes(benchmark::State &state, const NeatConfig &cfg,
                         const Genome &g)
 {
     {
-        const auto plan = nn::CompiledPlan::compile(g, cfg);
+        const auto plan = nn::CompiledPlan::compileFor(g, cfg);
         assertBatchMatchesOneLane(plan, cfg, kCmpSeed + 2);
     }
     const auto steps = static_cast<int>(state.range(0));
@@ -411,7 +411,7 @@ evalPathBatchedEpisodes(benchmark::State &state, const NeatConfig &cfg,
     std::vector<uint8_t> active(kCmpLanes, 1);
     for (auto _ : state) {
         const auto plan =
-            nn::CompiledPlan::compile(g, cfg, compile_scratch);
+            nn::CompiledPlan::compileFor(g, cfg, compile_scratch);
         plan.beginBatch(kCmpLanes, scratch);
         std::fill(scratch.inputs.begin(), scratch.inputs.end(), 0.5);
         for (int s = 0; s < steps; ++s) {
@@ -499,8 +499,8 @@ void
 assertHwTierConsistent(const NeatConfig &cfg, const Genome &g,
                        uint64_t seed)
 {
-    const auto ref = nn::CompiledPlan::compile(g, cfg);
-    const auto hw = nn::CompiledPlan::compile(
+    const auto ref = nn::CompiledPlan::compileFor(g, cfg);
+    const auto hw = nn::CompiledPlan::compileFor(
         g, cfg, nn::NumericsTier::HwFaithful);
     XorWow rng(seed);
     nn::PlanScratch ref_s, hw_s;
@@ -560,7 +560,7 @@ evalPathTiered(benchmark::State &state, nn::NumericsTier tier)
     // that plan, so the steady-state step cost is the number the tier
     // comparison is about (BM_EvalPathCompiled* above covers the
     // compile+run combination).
-    const auto plan = nn::CompiledPlan::compile(g, cfg, tier);
+    const auto plan = nn::CompiledPlan::compileFor(g, cfg, tier);
     plan.beginBatch(kCmpLanes, scratch);
     for (auto _ : state) {
         std::fill(scratch.inputs.begin(), scratch.inputs.end(), 0.5);
@@ -596,9 +596,11 @@ BENCHMARK(BM_EvalPathHwFaithful64Hidden)->Arg(25)->Arg(50)->Arg(100);
 // cannot vectorize across lanes because of the libm call. Arg(1)
 // times the hw tier's lane kernel: branch-free rational sigmoid +
 // Limit & Quantize across the whole lane vector. Two gates run
-// before timing: the hw lane kernel must match the hw scalar
-// dispatch bit for bit (the shared-functor contract), and hw-vs-libm
-// divergence must stay inside the documented per-activation bound.
+// before timing: each lane of the 8-lane kernel must match the
+// one-lane kernel fed the same value bit for bit (lane-count
+// independence, the contract the batched kernel relies on), and
+// hw-vs-libm divergence must stay inside the documented
+// per-activation bound.
 
 static void
 BM_ActivationScalarVsVectorized(benchmark::State &state)
@@ -619,8 +621,8 @@ BM_ActivationScalarVsVectorized(benchmark::State &state)
         active[l] = 1;
         dst_s[l] = dst_v[l] = 0.0;
     }
-    // Gate 1: the vectorized hw kernel must reproduce the scalar hw
-    // dispatch bit for bit on every lane. Gate 2: the hw
+    // Gate 1: every lane of the 8-lane hw kernel must reproduce the
+    // one-lane kernel fed the same value bit for bit. Gate 2: the hw
     // approximation must stay within the documented bound of the
     // libm reference it replaces.
     nn::hwact::activateLanesQuantized<kLanes>(
@@ -628,11 +630,15 @@ BM_ActivationScalarVsVectorized(benchmark::State &state)
         kLanes, q);
     for (int l = 0; l < kLanes; ++l) {
         const double x = 0.3 + 0.9 * acc[l];
-        GENESYS_ASSERT(
-            std::bit_cast<uint64_t>(nn::hwact::activateQuantized(
-                neat::Activation::Sigmoid, x, q)) ==
-                std::bit_cast<uint64_t>(dst_v[l]),
-            "scalar/vectorized hw activation diverges at lane " << l);
+        double one_lane = 0.0;
+        nn::hwact::activateLanesQuantized<1>(neat::Activation::Sigmoid,
+                                             0.3, 0.9, &acc[l], &active[l],
+                                             true, &one_lane, 1, q);
+        GENESYS_ASSERT(std::bit_cast<uint64_t>(one_lane) ==
+                           std::bit_cast<uint64_t>(dst_v[l]),
+                       "8-lane hw activation diverges from the one-lane "
+                       "kernel at lane "
+                           << l);
         GENESYS_ASSERT(
             std::fabs(dst_v[l] -
                       neat::activate(neat::Activation::Sigmoid, x)) <=
@@ -762,7 +768,7 @@ struct WaveWorkload
             genomes.push_back(denseGenome(
                 cfg, kCmpHidden, kCmpSeed + static_cast<uint64_t>(i)));
             plans.push_back(
-                nn::CompiledPlan::compile(genomes.back(), cfg));
+                nn::CompiledPlan::compileFor(genomes.back(), cfg));
             seeds.push_back(1000 + 37 * static_cast<uint64_t>(i));
         }
     }
@@ -962,7 +968,7 @@ BM_RecurrentStepInterpreter64Hidden(benchmark::State &state)
     cfg.feedForward = false;
     const auto g = recurrentBenchGenome(cfg);
     auto net = nn::RecurrentNetwork::create(g, cfg);
-    const auto plan = nn::CompiledPlan::compileRecurrent(g, cfg);
+    const auto plan = nn::CompiledPlan::compileFor(g, cfg);
     assertRecurrentPathsMatch(net, plan, cfg, kCmpSeed + 3);
 
     std::vector<double> inputs(net.numInputs(), 0.5);
@@ -983,7 +989,7 @@ BM_RecurrentStepCompiled64Hidden(benchmark::State &state)
     cfg.feedForward = false;
     const auto g = recurrentBenchGenome(cfg);
     auto net = nn::RecurrentNetwork::create(g, cfg);
-    const auto plan = nn::CompiledPlan::compileRecurrent(g, cfg);
+    const auto plan = nn::CompiledPlan::compileFor(g, cfg);
     assertRecurrentPathsMatch(net, plan, cfg, kCmpSeed + 3);
 
     std::vector<double> inputs(plan.numInputs(), 0.5);
@@ -1068,7 +1074,7 @@ BM_RecurrentStepBatchedLanes64Hidden(benchmark::State &state)
     auto cfg = benchConfig(kCmpInputs, kCmpOutputs);
     cfg.feedForward = false;
     const auto g = recurrentBenchGenome(cfg);
-    const auto plan = nn::CompiledPlan::compileRecurrent(g, cfg);
+    const auto plan = nn::CompiledPlan::compileFor(g, cfg);
     assertRecurrentBatchMatchesOneLane(plan, cfg, kCmpSeed + 4);
 
     nn::BatchScratch scratch;
@@ -1096,7 +1102,7 @@ BM_ActivateCompiledGrown(benchmark::State &state)
     const auto cfg = benchConfig(static_cast<int>(state.range(0)), 4);
     const auto g = grownGenome(cfg, 20, 8);
     const auto net = nn::FeedForwardNetwork::create(g, cfg);
-    const auto plan = nn::CompiledPlan::compile(g, cfg);
+    const auto plan = nn::CompiledPlan::compileFor(g, cfg);
     assertPathsMatch(net, plan, cfg, 8);
 
     std::vector<double> inputs(plan.numInputs(), 0.5);
@@ -1118,7 +1124,7 @@ BM_CompilePlan(benchmark::State &state)
     const auto cfg = benchConfig(static_cast<int>(state.range(0)), 4);
     const auto g = grownGenome(cfg, 20, 9);
     for (auto _ : state)
-        benchmark::DoNotOptimize(nn::CompiledPlan::compile(g, cfg));
+        benchmark::DoNotOptimize(nn::CompiledPlan::compileFor(g, cfg));
 }
 BENCHMARK(BM_CompilePlan)->Arg(4)->Arg(128);
 
@@ -1133,11 +1139,11 @@ BM_CompilePlan64Hidden(benchmark::State &state)
     const auto g = denseGenome(cfg, kCmpHidden, kCmpSeed);
     {
         const auto net = nn::FeedForwardNetwork::create(g, cfg);
-        const auto plan = nn::CompiledPlan::compile(g, cfg);
+        const auto plan = nn::CompiledPlan::compileFor(g, cfg);
         assertPathsMatch(net, plan, cfg, kCmpSeed + 1);
     }
     for (auto _ : state)
-        benchmark::DoNotOptimize(nn::CompiledPlan::compile(g, cfg));
+        benchmark::DoNotOptimize(nn::CompiledPlan::compileFor(g, cfg));
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                             static_cast<int64_t>(g.numGenes()));
 }
@@ -1155,13 +1161,13 @@ BM_CompilePlan64HiddenReusedScratch(benchmark::State &state)
     const auto g = denseGenome(cfg, kCmpHidden, kCmpSeed);
     {
         const auto net = nn::FeedForwardNetwork::create(g, cfg);
-        const auto plan = nn::CompiledPlan::compile(g, cfg);
+        const auto plan = nn::CompiledPlan::compileFor(g, cfg);
         assertPathsMatch(net, plan, cfg, kCmpSeed + 1);
     }
     nn::CompileScratch scratch;
     for (auto _ : state)
         benchmark::DoNotOptimize(
-            nn::CompiledPlan::compile(g, cfg, scratch));
+            nn::CompiledPlan::compileFor(g, cfg, scratch));
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                             static_cast<int64_t>(g.numGenes()));
 }
@@ -1187,14 +1193,14 @@ BM_CompilePlanSparseKeysAtariScale(benchmark::State &state)
     nn::CompileScratch scratch;
     {
         const auto net = nn::FeedForwardNetwork::create(g, cfg);
-        const auto plan = nn::CompiledPlan::compile(g, cfg, scratch);
+        const auto plan = nn::CompiledPlan::compileFor(g, cfg, scratch);
         GENESYS_ASSERT(scratch.keyToIndex.empty(),
                        "genome keys dense enough for the direct table");
         assertPathsMatch(net, plan, cfg, 13);
     }
     for (auto _ : state)
         benchmark::DoNotOptimize(
-            nn::CompiledPlan::compile(g, cfg, scratch));
+            nn::CompiledPlan::compileFor(g, cfg, scratch));
     state.counters["connections"] =
         static_cast<double>(g.numConnectionGenes());
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

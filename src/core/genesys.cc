@@ -4,6 +4,7 @@
 #include <chrono>
 #include <filesystem>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/logging.hh"
 #include "nn/compiled_plan.hh"
@@ -330,6 +331,27 @@ System::resumeFrom(const std::string &path)
         mismatch("numerics tier",
                  nn::numericsTierName(snap.numericsTier),
                  nn::numericsTierName(numericsTier_));
+
+    // Structure gate: the snapshot's digest vouches for its bytes, not
+    // its graphs. A genome missing an output node gene or holding a
+    // dangling connection would otherwise load cleanly and panic at
+    // the first plan compile, on a pool worker.
+    auto checkGenome = [&](const neat::Genome &g, const char *role) {
+        try {
+            g.validate(neatCfg_);
+        } catch (const std::logic_error &e) {
+            std::ostringstream oss;
+            oss << "snapshot \"" << path << "\" holds an invalid " << role
+                << " genome (key " << g.key() << "): " << e.what();
+            throw persist::SnapshotError(oss.str());
+        }
+    };
+    for (const auto &[key, g] : snap.population.genomes)
+        checkGenome(g, "population");
+    for (const auto &[key, sp] : snap.population.species)
+        checkGenome(sp.representative, "species representative");
+    if (snap.population.hasBest)
+        checkGenome(snap.population.bestGenome, "best");
 
     // Validated end to end — apply atomically. Genomes streamed for
     // the replaced population are dropped first: they are about to be

@@ -248,8 +248,9 @@ class System
      * Resume this (freshly constructed, un-stepped) System from a
      * snapshot file written by a previous run's checkpointing. The
      * file is parsed and fully validated first — magic, version,
-     * digest, chunk structure, and provenance against this System's
-     * config (environment, seed, population shape) — and only then
+     * digest, chunk structure, provenance against this System's
+     * config (environment, seed, population shape), and the structure
+     * of every genome it holds (Genome::validate) — and only then
      * applied, so a persist::SnapshotError (thrown on any mismatch)
      * leaves the System exactly as constructed. After a successful
      * resume, stepGeneration() continues from the checkpointed

@@ -32,7 +32,7 @@ lowerAttr(double v, NumericsTier tier, const FixedPointCodec &codec)
 }
 
 /**
- * Key compression shared by both lowerings. Index space: inputs
+ * Key compression for the lowering. Index space: inputs
  * -numInputs..-1 first (ascending key), then every node gene
  * (ascending key; all keys >= 0). The genome's flat SoA storage
  * already holds the node keys as one sorted contiguous array, so this
@@ -113,22 +113,34 @@ indexOf(const CompileScratch &s, int num_inputs, int key)
 } // namespace
 
 /*
- * compile() re-implements the analyzeGenome walks over dense
- * index-compressed arrays instead of std::map adjacency — it runs
- * once per genome per generation and its cost is the plan cache's
- * only fixed overhead, so it avoids per-edge map lookups entirely.
- * The semantics are identical by contract (same required set, same
- * layers, same slot assignment, same per-node link order); the
- * differential fuzz harness diffs the result against the map-based
- * feed-forward interpreter oracle bit-for-bit. Requires a structurally
- * valid genome (no dangling connection endpoints — Genome::validate's
- * invariant).
+ * The one genome-to-plan lowering. Both plan modes share every step
+ * except the choice of waves (which nodes are evaluated, in which
+ * order):
+ *
+ *  * feed-forward: backward reachability from the outputs, then an
+ *    in-degree countdown levelizes the required nodes into waves —
+ *    the walks of the map-based levelizer oracle in tests/support,
+ *    over dense index-compressed arrays. It runs once per genome per
+ *    generation on the eval workers, so it avoids map lookups
+ *    entirely;
+ *  * recurrent: every node gene, ascending key, as one wave. Every
+ *    node updates each tick from the previous tick's double buffer,
+ *    so cycles are well-defined and the whole graph is ready at once.
+ *
+ * Slots, per-node tables, CSR edges, the packed schedule and the
+ * output slots then come out of one loop over the waves. The result
+ * preserves the interpreter oracles' node order, slot assignment and
+ * per-node link order; the differential fuzz harnesses diff it
+ * against them bit for bit. Requires a structurally valid genome (no
+ * dangling connection endpoints — Genome::validate's invariant).
  */
+template <bool kFeedForward>
 CompiledPlan
-CompiledPlan::compile(const Genome &genome, const NeatConfig &cfg,
-                      CompileScratch &s, NumericsTier tier)
+CompiledPlan::lower(const Genome &genome, const NeatConfig &cfg,
+                    CompileScratch &s, NumericsTier tier)
 {
     CompiledPlan plan;
+    plan.recurrent_ = !kFeedForward;
     plan.tier_ = tier;
     plan.numInputs_ = cfg.numInputs;
     plan.numOutputs_ = cfg.numOutputs;
@@ -141,9 +153,13 @@ CompiledPlan::compile(const Genome &genome, const NeatConfig &cfg,
     // --- flatten enabled edges -------------------------------------------
     // The gene array is stored in (src, dst) order, so edges grouped
     // by destination later come out in ascending source order — the
-    // interpreter's per-node link order, which activate() must
-    // reproduce for bit-identical accumulation. This is a single
-    // contiguous walk over the connection SoA array.
+    // interpreters' per-node link order, which activate() must
+    // reproduce for bit-identical accumulation. An edge whose
+    // destination is dangling or an input has no evaluator in either
+    // mode (inputs are never required, never lowered), so it drops
+    // out here. Dangling sources stay, as -1: they block their
+    // destination forever in the feed-forward countdown and count as
+    // MACs in both modes, exactly like the interpreters' links.
     s.edgeSrc.clear();
     s.edgeDst.clear();
     s.edgeWeight.clear();
@@ -154,8 +170,8 @@ CompiledPlan::compile(const Genome &genome, const NeatConfig &cfg,
         if (!cg.enabled)
             continue;
         const int32_t dst = indexOf(s, num_inputs, cg.key.second);
-        if (dst < 0)
-            continue; // dangling destination: nothing to evaluate
+        if (dst < num_inputs)
+            continue;
         s.edgeSrc.push_back(indexOf(s, num_inputs, cg.key.first));
         s.edgeDst.push_back(dst);
         s.edgeWeight.push_back(cg.weight);
@@ -163,34 +179,39 @@ CompiledPlan::compile(const Genome &genome, const NeatConfig &cfg,
     const size_t num_edges = s.edgeDst.size();
 
     // --- adjacency (CSR over compressed indices) --------------------------
+    // In-lists keep (source index, weight) in edge order — ascending
+    // source per destination. Out-lists only need targets, and only
+    // the feed-forward countdown reads them.
     s.inDeg.assign(static_cast<size_t>(num_vertices), 0);
-    s.outDeg.assign(static_cast<size_t>(num_vertices), 0);
+    if constexpr (kFeedForward)
+        s.outDeg.assign(static_cast<size_t>(num_vertices), 0);
     for (size_t e = 0; e < num_edges; ++e) {
-        // In-degree counts every enabled in-edge — including ones
-        // from unresolvable sources, which must block the node
-        // forever (they never count down).
         ++s.inDeg[static_cast<size_t>(s.edgeDst[e])];
-        if (s.edgeSrc[e] >= 0)
-            ++s.outDeg[static_cast<size_t>(s.edgeSrc[e])];
+        if constexpr (kFeedForward) {
+            if (s.edgeSrc[e] >= 0)
+                ++s.outDeg[static_cast<size_t>(s.edgeSrc[e])];
+        }
     }
     s.inOff.assign(static_cast<size_t>(num_vertices) + 1, 0);
-    s.outOff.assign(static_cast<size_t>(num_vertices) + 1, 0);
+    if constexpr (kFeedForward)
+        s.outOff.assign(static_cast<size_t>(num_vertices) + 1, 0);
     for (int v = 0; v < num_vertices; ++v) {
         s.inOff[static_cast<size_t>(v) + 1] =
             s.inOff[static_cast<size_t>(v)] +
             s.inDeg[static_cast<size_t>(v)];
-        s.outOff[static_cast<size_t>(v) + 1] =
-            s.outOff[static_cast<size_t>(v)] +
-            s.outDeg[static_cast<size_t>(v)];
+        if constexpr (kFeedForward)
+            s.outOff[static_cast<size_t>(v) + 1] =
+                s.outOff[static_cast<size_t>(v)] +
+                s.outDeg[static_cast<size_t>(v)];
     }
-    // In-lists keep (source index, weight) in edge order — ascending
-    // source per destination. Out-lists only need targets.
     s.inSrc.resize(num_edges);
     s.inW.resize(num_edges);
-    s.outDst.resize(
-        static_cast<size_t>(s.outOff[static_cast<size_t>(num_vertices)]));
     s.inFill = s.inOff;
-    s.outFill = s.outOff;
+    if constexpr (kFeedForward) {
+        s.outDst.resize(static_cast<size_t>(
+            s.outOff[static_cast<size_t>(num_vertices)]));
+        s.outFill = s.outOff;
+    }
     for (size_t e = 0; e < num_edges; ++e) {
         const int32_t src = s.edgeSrc[e];
         const int32_t dst = s.edgeDst[e];
@@ -198,73 +219,86 @@ CompiledPlan::compile(const Genome &genome, const NeatConfig &cfg,
             static_cast<size_t>(s.inFill[static_cast<size_t>(dst)]++);
         s.inSrc[slot] = src;
         s.inW[slot] = s.edgeWeight[e];
-        if (src >= 0)
-            s.outDst[static_cast<size_t>(
-                s.outFill[static_cast<size_t>(src)]++)] = dst;
-    }
-
-    // --- backward reachability from the outputs ---------------------------
-    // required == analyzeGenome().required: outputs plus every
-    // non-input vertex on an enabled path into them.
-    s.required.assign(static_cast<size_t>(num_vertices), 0);
-    s.stack.clear();
-    for (int o = 0; o < cfg.numOutputs; ++o) {
-        const int32_t idx = indexOf(s, num_inputs, o);
-        GENESYS_ASSERT(idx >= 0, "output node " << o << " missing gene");
-        s.required[static_cast<size_t>(idx)] = 1;
-        s.stack.push_back(idx);
-    }
-    while (!s.stack.empty()) {
-        const int32_t dst = s.stack.back();
-        s.stack.pop_back();
-        for (int32_t e = s.inOff[static_cast<size_t>(dst)];
-             e < s.inOff[static_cast<size_t>(dst) + 1]; ++e) {
-            const int32_t src = s.inSrc[static_cast<size_t>(e)];
-            // Inputs (index < numInputs) terminate the walk.
-            if (src >= num_inputs && !s.required[static_cast<size_t>(src)]) {
-                s.required[static_cast<size_t>(src)] = 1;
-                s.stack.push_back(src);
-            }
+        if constexpr (kFeedForward) {
+            if (src >= 0)
+                s.outDst[static_cast<size_t>(
+                    s.outFill[static_cast<size_t>(src)]++)] = dst;
         }
     }
 
-    // --- levelization by in-degree countdown ------------------------------
-    // A required node joins the wave after its last source resolved;
-    // zero-in-edge nodes (inDeg 0) never join, matching analyzeGenome.
-    s.remaining = s.inDeg;
-    s.frontier.clear();
-    for (int i = 0; i < num_inputs; ++i)
-        s.frontier.push_back(i);
+    // --- waves ------------------------------------------------------------
+    // Flattened: wave w spans waveNodes[waveOffs[w] .. waveOffs[w+1]).
     s.waveNodes.clear();
     s.waveOffs.clear();
     s.waveOffs.push_back(0);
-    while (!s.frontier.empty()) {
-        s.next.clear();
-        for (int32_t src : s.frontier) {
-            for (int32_t e = s.outOff[static_cast<size_t>(src)];
-                 e < s.outOff[static_cast<size_t>(src) + 1]; ++e) {
-                const int32_t dst = s.outDst[static_cast<size_t>(e)];
-                if (s.required[static_cast<size_t>(dst)] &&
-                    --s.remaining[static_cast<size_t>(dst)] == 0)
-                    s.next.push_back(dst);
+    if constexpr (kFeedForward) {
+        // Backward reachability from the outputs: outputs plus every
+        // non-input vertex on an enabled path into them.
+        s.required.assign(static_cast<size_t>(num_vertices), 0);
+        s.stack.clear();
+        for (int o = 0; o < cfg.numOutputs; ++o) {
+            const int32_t idx = indexOf(s, num_inputs, o);
+            GENESYS_ASSERT(idx >= 0, "output node " << o << " missing gene");
+            s.required[static_cast<size_t>(idx)] = 1;
+            s.stack.push_back(idx);
+        }
+        while (!s.stack.empty()) {
+            const int32_t dst = s.stack.back();
+            s.stack.pop_back();
+            for (int32_t e = s.inOff[static_cast<size_t>(dst)];
+                 e < s.inOff[static_cast<size_t>(dst) + 1]; ++e) {
+                const int32_t src = s.inSrc[static_cast<size_t>(e)];
+                // Inputs (index < numInputs) terminate the walk.
+                if (src >= num_inputs &&
+                    !s.required[static_cast<size_t>(src)]) {
+                    s.required[static_cast<size_t>(src)] = 1;
+                    s.stack.push_back(src);
+                }
             }
         }
-        // Ascending index == ascending key (keys are sorted), so this
-        // matches the interpreter's within-layer order.
-        std::sort(s.next.begin(), s.next.end());
-        if (!s.next.empty()) {
-            s.waveNodes.insert(s.waveNodes.end(), s.next.begin(),
-                               s.next.end());
-            s.waveOffs.push_back(
-                static_cast<int32_t>(s.waveNodes.size()));
+
+        // Levelization by in-degree countdown: a required node joins
+        // the wave after its last source resolved; zero-in-edge nodes
+        // (inDeg 0) never join, and neither does anything on or
+        // downstream of a cycle.
+        s.remaining = s.inDeg;
+        s.frontier.clear();
+        for (int i = 0; i < num_inputs; ++i)
+            s.frontier.push_back(i);
+        while (!s.frontier.empty()) {
+            s.next.clear();
+            for (int32_t src : s.frontier) {
+                for (int32_t e = s.outOff[static_cast<size_t>(src)];
+                     e < s.outOff[static_cast<size_t>(src) + 1]; ++e) {
+                    const int32_t dst = s.outDst[static_cast<size_t>(e)];
+                    if (s.required[static_cast<size_t>(dst)] &&
+                        --s.remaining[static_cast<size_t>(dst)] == 0)
+                        s.next.push_back(dst);
+                }
+            }
+            // Ascending index == ascending key (keys are sorted), so
+            // this matches the interpreter's within-layer order.
+            std::sort(s.next.begin(), s.next.end());
+            if (!s.next.empty()) {
+                s.waveNodes.insert(s.waveNodes.end(), s.next.begin(),
+                                   s.next.end());
+                s.waveOffs.push_back(
+                    static_cast<int32_t>(s.waveNodes.size()));
+            }
+            std::swap(s.frontier, s.next);
         }
-        std::swap(s.frontier, s.next);
+    } else {
+        for (int32_t idx = num_inputs; idx < num_vertices; ++idx)
+            s.waveNodes.push_back(idx);
+        if (!s.waveNodes.empty())
+            s.waveOffs.push_back(static_cast<int32_t>(s.waveNodes.size()));
     }
     const size_t num_waves = s.waveOffs.size() - 1;
 
     // --- lowering: slots, SoA node tables, CSR edges, schedule ------------
-    // Slot assignment matches the feed-forward oracle: input key
-    // -i-1 gets slot i, then layered nodes in emission order.
+    // Slot assignment matches both oracles: input key -i-1 gets slot
+    // i, then the wave nodes in emission order (for a recurrent plan,
+    // every node gene in ascending key order).
     s.slotOf.assign(static_cast<size_t>(num_vertices), -1);
     for (int i = 0; i < num_inputs; ++i)
         s.slotOf[static_cast<size_t>(i)] = num_inputs - 1 - i;
@@ -284,6 +318,10 @@ CompiledPlan::compile(const Genome &genome, const NeatConfig &cfg,
     plan.layerSpans_.reserve(num_waves);
     plan.schedule_.layers.reserve(num_waves);
 
+    // One packed layer per wave: ADAM sees an M x K step with M the
+    // wave's nodes and K the distinct sources feeding them, so
+    // totalMacs == macsPerInference by construction — the invariant
+    // the hw cost model relies on.
     int32_t span_begin = 0;
     for (size_t w = 0; w < num_waves; ++w) {
         const int32_t w0 = s.waveOffs[w];
@@ -326,8 +364,6 @@ CompiledPlan::compile(const Genome &genome, const NeatConfig &cfg,
         plan.layerSpans_.push_back({span_begin, span_end});
         span_begin = span_end;
 
-        // Packed input vector length: distinct sources feeding the
-        // layer (levelize's vectorLen).
         std::sort(s.layerSources.begin(), s.layerSources.end());
         packed.vectorLen = static_cast<int>(
             std::unique(s.layerSources.begin(), s.layerSources.end()) -
@@ -342,143 +378,7 @@ CompiledPlan::compile(const Genome &genome, const NeatConfig &cfg,
             plan.outputSlot_[static_cast<size_t>(o)] =
                 s.slotOf[static_cast<size_t>(idx)];
     }
-    plan.dcheckCompiled("CompiledPlan::compile");
-    return plan;
-}
-
-/*
- * compileRecurrent() lowers the recurrent interpreter's structure to
- * the same flat arrays: no reachability pruning and no levelization —
- * every node gene updates every tick (cycles are well-defined because
- * reads come from the previous tick's double buffer), in ascending
- * key order, each node reading its enabled in-edges in ascending
- * source order. The MAC count and the per-node link order match the
- * interpreter exactly; tests/test_recurrent_plan.cc fuzzes the
- * equivalence bit for bit.
- */
-CompiledPlan
-CompiledPlan::compileRecurrent(const Genome &genome,
-                               const NeatConfig &cfg, CompileScratch &s,
-                               NumericsTier tier)
-{
-    CompiledPlan plan;
-    plan.recurrent_ = true;
-    plan.tier_ = tier;
-    plan.numInputs_ = cfg.numInputs;
-    plan.numOutputs_ = cfg.numOutputs;
-    const FixedPointCodec codec(kHwIntBits, kHwFracBits);
-
-    const int num_inputs = cfg.numInputs;
-    compressKeys(genome, num_inputs, s);
-    const int num_vertices = static_cast<int>(s.keys.size());
-    const int n_nodes = num_vertices - num_inputs;
-
-    // Slots match the recurrent oracle: input key -i-1 gets slot
-    // i, then every node gene in ascending key order. Vertex index v
-    // therefore maps to slot (num_inputs - 1 - v) for inputs and to
-    // its own index for nodes (both orderings are ascending-key).
-    plan.numSlots_ = num_vertices;
-    const auto slot_of_vertex = [num_inputs](int32_t v) -> int32_t {
-        return v < num_inputs ? num_inputs - 1 - v : v;
-    };
-
-    // --- per-destination in-edges (CSR, node destinations only) ----------
-    // The interpreter groups connections by destination while
-    // iterating in (src, dst) order, so per destination the sources
-    // come out ascending; edges whose destination is not a node gene
-    // have no evaluator and drop out (dangling sources stay, as -1
-    // slot sentinels — they block nothing in recurrent mode but do
-    // count as MACs, exactly like the interpreter's slotLinks).
-    s.inDeg.assign(static_cast<size_t>(num_vertices), 0);
-    size_t kept_edges = 0;
-    for (const neat::ConnectionGene &cg : genome.connections().values()) {
-        if (!cg.enabled)
-            continue;
-        const int32_t dst = indexOf(s, num_inputs, cg.key.second);
-        if (dst < num_inputs)
-            continue; // dangling or input destination: no evaluator
-        ++s.inDeg[static_cast<size_t>(dst)];
-        ++kept_edges;
-    }
-    s.inOff.assign(static_cast<size_t>(num_vertices) + 1, 0);
-    for (int v = 0; v < num_vertices; ++v)
-        s.inOff[static_cast<size_t>(v) + 1] =
-            s.inOff[static_cast<size_t>(v)] +
-            s.inDeg[static_cast<size_t>(v)];
-    s.inSrc.resize(kept_edges);
-    s.inW.resize(kept_edges);
-    s.inFill = s.inOff;
-    for (const neat::ConnectionGene &cg : genome.connections().values()) {
-        if (!cg.enabled)
-            continue;
-        const int32_t dst = indexOf(s, num_inputs, cg.key.second);
-        if (dst < num_inputs)
-            continue;
-        const auto slot =
-            static_cast<size_t>(s.inFill[static_cast<size_t>(dst)]++);
-        s.inSrc[slot] = indexOf(s, num_inputs, cg.key.first);
-        s.inW[slot] = cg.weight;
-    }
-
-    // --- lowering: every node, ascending key, one wave per tick ----------
-    plan.activation_.reserve(static_cast<size_t>(n_nodes));
-    plan.aggregation_.reserve(static_cast<size_t>(n_nodes));
-    plan.bias_.reserve(static_cast<size_t>(n_nodes));
-    plan.response_.reserve(static_cast<size_t>(n_nodes));
-    plan.nodeSlot_.reserve(static_cast<size_t>(n_nodes));
-    plan.edgeOffset_.reserve(static_cast<size_t>(n_nodes) + 1);
-    plan.edgeOffset_.push_back(0);
-    s.layerSources.clear();
-    for (int32_t idx = num_inputs; idx < num_vertices; ++idx) {
-        const neat::NodeGene *ng = s.genes[static_cast<size_t>(idx)];
-        plan.activation_.push_back(ng->activation);
-        plan.aggregation_.push_back(ng->aggregation);
-        plan.bias_.push_back(lowerAttr(ng->bias, tier, codec));
-        plan.response_.push_back(lowerAttr(ng->response, tier, codec));
-        plan.nodeSlot_.push_back(slot_of_vertex(idx));
-
-        for (int32_t e = s.inOff[static_cast<size_t>(idx)];
-             e < s.inOff[static_cast<size_t>(idx) + 1]; ++e) {
-            const int32_t src = s.inSrc[static_cast<size_t>(e)];
-            ++plan.macs_;
-            s.layerSources.push_back(src);
-            const int32_t src_slot = src >= 0 ? slot_of_vertex(src) : -1;
-            if (src_slot < 0 && ng->aggregation == neat::Aggregation::Sum)
-                continue; // see edgeSrc_ docs
-            plan.edgeSrc_.push_back(src_slot);
-            plan.edgeWeight_.push_back(
-                lowerAttr(s.inW[static_cast<size_t>(e)], tier, codec));
-        }
-        plan.edgeOffset_.push_back(
-            static_cast<int32_t>(plan.edgeSrc_.size()));
-    }
-    if (n_nodes > 0)
-        plan.layerSpans_.push_back({0, n_nodes});
-
-    // One packed layer per tick: the whole graph is simultaneously
-    // ready (every node reads the previous tick), so ADAM sees a
-    // single M x K step per inference with M = all nodes and K = the
-    // distinct sources feeding them. totalMacs == macsPerInference by
-    // construction — the invariant the hw cost model relies on.
-    if (n_nodes > 0) {
-        PackedLayer packed;
-        packed.numNodes = n_nodes;
-        packed.weights = plan.macs_;
-        std::sort(s.layerSources.begin(), s.layerSources.end());
-        packed.vectorLen = static_cast<int>(
-            std::unique(s.layerSources.begin(), s.layerSources.end()) -
-            s.layerSources.begin());
-        plan.schedule_.layers.push_back(packed);
-    }
-
-    plan.outputSlot_.assign(static_cast<size_t>(cfg.numOutputs), -1);
-    for (int o = 0; o < cfg.numOutputs; ++o) {
-        const int32_t idx = indexOf(s, num_inputs, o);
-        if (idx >= 0)
-            plan.outputSlot_[static_cast<size_t>(o)] =
-                slot_of_vertex(idx);
-    }
-    plan.dcheckCompiled("CompiledPlan::compileRecurrent");
+    plan.dcheckCompiled("CompiledPlan::compileFor");
     return plan;
 }
 
@@ -540,27 +440,11 @@ CompiledPlan::dcheckCompiled(const char *what) const
 }
 
 CompiledPlan
-CompiledPlan::compile(const Genome &genome, const NeatConfig &cfg,
-                      NumericsTier tier)
-{
-    CompileScratch scratch;
-    return compile(genome, cfg, scratch, tier);
-}
-
-CompiledPlan
-CompiledPlan::compileRecurrent(const Genome &genome, const NeatConfig &cfg,
-                               NumericsTier tier)
-{
-    CompileScratch scratch;
-    return compileRecurrent(genome, cfg, scratch, tier);
-}
-
-CompiledPlan
 CompiledPlan::compileFor(const Genome &genome, const NeatConfig &cfg,
                          CompileScratch &scratch, NumericsTier tier)
 {
-    return cfg.feedForward ? compile(genome, cfg, scratch, tier)
-                           : compileRecurrent(genome, cfg, scratch, tier);
+    return cfg.feedForward ? lower<true>(genome, cfg, scratch, tier)
+                           : lower<false>(genome, cfg, scratch, tier);
 }
 
 CompiledPlan
@@ -604,15 +488,6 @@ void
 CompiledPlan::reset(PlanScratch &scratch) const
 {
     beginBatch(1, scratch);
-}
-
-std::vector<double>
-CompiledPlan::activate(const std::vector<double> &inputs) const
-{
-    PlanScratch scratch;
-    reset(scratch);
-    activate(inputs, scratch);
-    return std::move(scratch.outputs);
 }
 
 void

@@ -12,7 +12,7 @@
  * the levelized layers as dense inner loops with no maps, no
  * allocation, and a caller-provided scratch buffer.
  *
- * A plan is immutable after compile(), so it is safe to share
+ * A plan is immutable after compileFor(), so it is safe to share
  * read-only across exec::EvalEngine workers; all mutable state lives
  * in the caller's BatchScratch (alias PlanScratch). It is the library's
  * only phenotype. Outputs are bit-identical to the feed-forward and
@@ -22,21 +22,25 @@
  * harnesses in tests/test_compiled_plan.cc and
  * tests/test_recurrent_plan.cc lock down.
  *
- * Plans come in two modes, so every genome — acyclic or cyclic — runs
- * through the same execution substrate:
+ * compileFor() is the one lowering: it index-compresses the genome,
+ * builds the in-edge adjacency once, chooses a list of waves, and
+ * lowers the waves into the node tables, the CSR edges and the ADAM
+ * schedule in one loop. NeatConfig::feedForward chooses the waves, so
+ * every genome — acyclic or cyclic — runs through the same execution
+ * substrate:
  *
- *  * Feed-forward (compile()): levelized layers, each activate() is
- *    one stateless forward pass. A genome containing cycles compiles
- *    to the same phenotype the feed-forward oracle builds — cycle
- *    members never become "ready", so they (and everything
- *    downstream) stay unevaluated and read as 0.
+ *  * Feed-forward: the required nodes, levelized into topological
+ *    waves; each activate() is one stateless forward pass. A genome
+ *    containing cycles compiles to the same phenotype the
+ *    feed-forward oracle builds — cycle members never become "ready",
+ *    so they (and everything downstream) stay unevaluated and read
+ *    as 0.
  *
- *  * Recurrent (compileRecurrent(), NeatConfig::feedForward ==
- *    false): every node gene updates every tick from the *previous*
- *    tick's values, held in double-buffered prev/curr slot arrays in
- *    the scratch. Each activate() advances one tick; reset()
- *    clears the state at episode boundaries. Bit-identical to the
- *    recurrent interpreter oracle in tests/support.
+ *  * Recurrent (NeatConfig::feedForward == false): the single-wave
+ *    case — every node gene, ascending key. Each node updates every
+ *    tick from the *previous* tick's values, held in double-buffered
+ *    prev/curr slot arrays in the scratch. Each activate() advances
+ *    one tick; reset() clears the state at episode boundaries.
  *
  * Both modes run through one forward-pass body, the batched kernel
  * (activateBatch): one shared plan evaluated across N independent
@@ -54,11 +58,15 @@
 #include <cstdint>
 #include <vector>
 
+#include "neat/genome.hh"
 #include "nn/levelize.hh"
 #include "nn/numerics.hh"
 
 namespace genesys::nn
 {
+
+using neat::Genome;
+using neat::NeatConfig;
 
 /**
  * Caller-owned mutable state for CompiledPlan::activateBatch: one
@@ -98,7 +106,7 @@ struct BatchScratch
 using PlanScratch = BatchScratch;
 
 /**
- * Reusable buffers for CompiledPlan::compile/compileRecurrent.
+ * Reusable buffers for CompiledPlan::compileFor.
  * Compilation is allocation-bound (~15 small vectors per compile);
  * keeping one scratch per thread and passing it to every compile
  * makes steady-state compilation allocation-free. The fields are an
@@ -140,47 +148,23 @@ class CompiledPlan
     };
 
     /**
-     * Lower `genome` into a flat feed-forward execution plan. Under
-     * NumericsTier::HwFaithful the lowering additionally quantizes
-     * every bias/response/weight through the Q6.10 codec and the
-     * activate paths run the hw approximation + Limit & Quantize
-     * kernels (see nn/numerics.hh); the default Reference tier is the
-     * bit-identical float path every existing caller gets unchanged.
-     */
-    static CompiledPlan
-    compile(const Genome &genome, const NeatConfig &cfg,
-            NumericsTier tier = NumericsTier::Reference);
-    /** As compile(), reusing the caller's per-thread scratch. */
-    static CompiledPlan
-    compile(const Genome &genome, const NeatConfig &cfg,
-            CompileScratch &scratch,
-            NumericsTier tier = NumericsTier::Reference);
-
-    /**
-     * Lower `genome` (cycles allowed) into a flat recurrent plan:
-     * every node gene updates each tick from the previous tick's
-     * values, matching the recurrent interpreter oracle bit for bit
-     * (Reference tier; HwFaithful quantizes as compile() does).
-     */
-    static CompiledPlan
-    compileRecurrent(const Genome &genome, const NeatConfig &cfg,
-                     NumericsTier tier = NumericsTier::Reference);
-    /** As compileRecurrent(), reusing the caller's scratch. */
-    static CompiledPlan
-    compileRecurrent(const Genome &genome, const NeatConfig &cfg,
-                     CompileScratch &scratch,
-                     NumericsTier tier = NumericsTier::Reference);
-
-    /**
-     * The mode-dispatching entry point: feed-forward lowering for
-     * NeatConfig::feedForward configs, recurrent lowering otherwise —
-     * so every consumer (PlanCache, replay, the engine) runs all
-     * genomes through one compiled substrate.
+     * Lower `genome` into a flat execution plan — the only compile
+     * entry point. NeatConfig::feedForward selects the plan mode:
+     * levelized feed-forward waves, or one recurrent wave of every
+     * node gene (see the file comment). Under NumericsTier::HwFaithful
+     * the lowering additionally quantizes every bias/response/weight
+     * through the Q6.10 codec and the activate paths run the hw
+     * approximation + Limit & Quantize kernels (see nn/numerics.hh);
+     * the default Reference tier is the bit-identical float path.
      */
     static CompiledPlan
     compileFor(const Genome &genome, const NeatConfig &cfg,
                NumericsTier tier = NumericsTier::Reference);
-    /** As compileFor(), reusing the caller's scratch. */
+    /**
+     * As compileFor(), reusing the caller's per-thread scratch (the
+     * plan cache's path: steady-state compiles allocate nothing
+     * beyond the plan itself).
+     */
     static CompiledPlan
     compileFor(const Genome &genome, const NeatConfig &cfg,
                CompileScratch &scratch,
@@ -209,10 +193,6 @@ class CompiledPlan
      * recurrent state (start of an episode): beginBatch(1, scratch).
      */
     void reset(PlanScratch &scratch) const;
-
-    /** Convenience form: allocates a scratch and returns the outputs
-     *  (for recurrent plans: one tick from a freshly reset state). */
-    std::vector<double> activate(const std::vector<double> &inputs) const;
 
     /**
      * Size `scratch` for `lanes` concurrent episode lanes and clear
@@ -272,6 +252,18 @@ class CompiledPlan
     }
 
   private:
+    /**
+     * The genome-to-plan lowering behind compileFor. kFeedForward
+     * selects only the wave list; every other step is shared. It is a
+     * compile-time parameter so the out-edge adjacency the
+     * feed-forward countdown needs costs the recurrent instantiation
+     * nothing and the feed-forward one no per-edge mode branch (a
+     * runtime flag measured ~7% slower on BM_CompilePlan*).
+     */
+    template <bool kFeedForward>
+    static CompiledPlan lower(const Genome &genome, const NeatConfig &cfg,
+                              CompileScratch &scratch, NumericsTier tier);
+
     /** Lane-width switch of activateBatch for one numerics tier. */
     template <NumericsTier kTier>
     void activateBatchDispatch(int lanes, const uint8_t *activeLanes,

@@ -5,7 +5,7 @@
  * kernel vectorize.
  *
  * The reference activations (neat::activate, src/neat/activations.cc)
- * call libm per node per lane; on small policies that scalar
+ * call libm per node per lane; on small policies that per-lane
  * sigmoid/tanh call is the eval-path floor. The GeneSys hardware has
  * no libm either: EvE/ADAM run fixed-point datapaths with polynomial
  * function units. Each functor here mirrors one reference formula —
@@ -19,9 +19,11 @@
  *
  * Everything is straight-line min/max/mul/add (plus one division for
  * tanh-family nodes), so GCC vectorizes the per-lane loop without
- * pragmas; bit-identical whether a lane runs through the scalar or
- * the batched path, because both dispatch to the SAME functor and the
- * per-lane expression order is fixed. Approximation error is bounded
+ * pragmas. A lane's result is independent of the lane count: every
+ * width runs the SAME functor with a fixed per-lane expression order,
+ * so lane l of an 8-lane step is bit-identical to a one-lane step fed
+ * the same value — the contract the batched kernel's width-1
+ * activate() relies on. Approximation error is bounded
  * per activation below and end-to-end (float-vs-hw fitness
  * divergence) in tests/test_numerics_divergence.cc.
  *
@@ -156,9 +158,9 @@ sinCore(double x)
 
 // One functor per neat::Activation, mirroring the reference formula's
 // input scaling and clamps exactly (see src/neat/activations.cc); only
-// the transcendental core differs. Both the scalar and the batched
-// hw paths dispatch to these same functors, which is what makes the
-// hw tier bit-identical across execution modes.
+// the transcendental core differs. Every lane width dispatches to
+// these same functors, which is what makes the hw tier bit-identical
+// across lane counts.
 
 struct Sigmoid
 {
@@ -248,10 +250,9 @@ struct Softplus
 };
 
 /**
- * Dispatch `vis` with the functor for `a`. The single switch keeps
- * the scalar path (visitor returns the activated double) and the
- * batched path (visitor runs the whole lane loop with the functor
- * inlined) on one formula table.
+ * Dispatch `vis` with the functor for `a`: the visitor runs the whole
+ * lane loop with the functor inlined, so the per-node switch is paid
+ * once per node rather than once per lane.
  */
 template <class Visitor>
 inline decltype(auto)
@@ -289,14 +290,6 @@ dispatch(neat::Activation a, Visitor &&vis)
       default:
         return vis(Softplus{});
     }
-}
-
-/** Scalar hw activation + Limit & Quantize for one node value. */
-inline double
-activateQuantized(neat::Activation a, double x,
-                  const FixedPointQuantizer &q)
-{
-    return dispatch(a, [&](auto op) { return q(op(x)); });
 }
 
 /**

@@ -45,13 +45,6 @@ PlanCache::fingerprintOf(const neat::Genome &genome)
 }
 
 void
-PlanCache::beginGeneration()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    plans_.clear();
-}
-
-void
 PlanCache::beginGeneration(const std::vector<int> &survivingKeys)
 {
     const long kept = prune(survivingKeys);

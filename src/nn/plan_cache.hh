@@ -39,9 +39,6 @@ namespace genesys::nn
 class PlanCache
 {
   public:
-    /** Start a new generation: drop every cached plan. */
-    void beginGeneration();
-
     /**
      * Start a new generation, keeping plans whose genome key appears
      * in `survivingKeys` (the new generation's keys — only elites
@@ -54,9 +51,9 @@ class PlanCache
     /**
      * Drop every plan whose key is not in `keys`, within the current
      * generation (nothing counts as carried over). A streamed
-     * generation calls beginGeneration() when its stream begins and
-     * this when it is collected, to shed plans of streamed genomes
-     * that did not make it into the evaluated batch.
+     * generation calls beginGeneration(eliteKeys) when its stream
+     * begins and this when it is collected, to shed plans of streamed
+     * genomes that did not make it into the evaluated batch.
      */
     void retain(const std::vector<int> &keys);
 

@@ -6,6 +6,7 @@
  * NEAT genomes are irregular acyclic graphs, so inference "is
  * basically processing an acyclic directed graph" (Section III-C2).
  * This interpreter walks the topological layers of nn::analyzeGenome
+ * (the map-based levelizer oracle in support/genome_analysis.hh)
  * node by node, straight from per-node link lists. The library's only
  * phenotype is nn::CompiledPlan, which must match this interpreter bit
  * for bit; the tests and bench_micro_kernels diff the two.
@@ -16,7 +17,7 @@
 
 #include <vector>
 
-#include "nn/levelize.hh"
+#include "support/genome_analysis.hh"
 
 namespace genesys::nn
 {

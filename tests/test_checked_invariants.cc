@@ -60,7 +60,7 @@ struct PlanFixture
         NodeIndexer indexer(cfg.numOutputs);
         XorWow rng(0x5eedULL);
         genome = Genome::createNew(0, cfg, indexer, rng);
-        plan = CompiledPlan::compile(genome, cfg);
+        plan = CompiledPlan::compileFor(genome, cfg);
     }
 };
 

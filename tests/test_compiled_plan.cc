@@ -7,10 +7,11 @@
  * the whole engine's cross-thread determinism contract is built on
  * exact equality. The harness fuzzes ~1k random genomes (varied
  * activations/aggregations, disabled connections, dangling hidden
- * nodes, recurrent cycles) through both paths, and separately pins
- * the rewritten graph analysis against a straight transcription of
- * the original (pre-optimization) layering algorithm, since both
- * production paths now share the new analysis code.
+ * nodes, recurrent cycles) through both paths, pins the plan's
+ * waves and ADAM schedule against the map-based levelizer oracle
+ * (support/genome_analysis.hh), and separately pins that oracle
+ * against a straight transcription of the original two-walk layering
+ * algorithm, since the interpreter oracle runs on its layers.
  *
  * Every genome derives from deriveSeed(kFuzzBase, index) via
  * common::rng, so any failure names a reproducible genome index.
@@ -25,8 +26,8 @@
 
 #include "common/rng.hh"
 #include "nn/compiled_plan.hh"
-#include "nn/levelize.hh"
 #include "support/feedforward.hh"
+#include "support/genome_analysis.hh"
 
 using namespace genesys;
 using namespace genesys::neat;
@@ -146,6 +147,19 @@ fuzzGenome(const NeatConfig &cfg, XorWow &rng, bool allow_cycles)
 }
 
 /**
+ * `cfg` with the feed-forward lowering selected. Genomes grown with
+ * cycles allowed (feedForward == false) still compile feed-forward in
+ * these harnesses: they pin that lowering's cycle handling against
+ * the feed-forward oracle.
+ */
+NeatConfig
+feedForwardOf(NeatConfig cfg)
+{
+    cfg.feedForward = true;
+    return cfg;
+}
+
+/**
  * Straight transcription of the original requiredForOutput /
  * feedForwardLayers algorithms (pre-adjacency-rewrite), kept as the
  * reference the production analysis is diffed against.
@@ -229,7 +243,7 @@ TEST(CompiledPlanFuzz, MatchesInterpreterBitForBit)
         SCOPED_TRACE("fuzz genome " + std::to_string(i));
 
         const auto net = FeedForwardNetwork::create(g, cfg);
-        const auto plan = CompiledPlan::compile(g, cfg);
+        const auto plan = CompiledPlan::compileFor(g, feedForwardOf(cfg));
 
         ASSERT_EQ(plan.numInputs(), net.numInputs());
         ASSERT_EQ(plan.numOutputs(), net.numOutputs());
@@ -265,7 +279,7 @@ TEST(CompiledPlanFuzz, ScheduleAgreesWithLevelizer)
         const Genome g = fuzzGenome(cfg, rng, allow_cycles);
         SCOPED_TRACE("schedule genome " + std::to_string(i));
 
-        const auto plan = CompiledPlan::compile(g, cfg);
+        const auto plan = CompiledPlan::compileFor(g, feedForwardOf(cfg));
         const auto ref = levelize(g, cfg);
         const InferenceSchedule &sched = plan.schedule();
         ASSERT_EQ(sched.layers.size(), ref.layers.size());
@@ -281,10 +295,10 @@ TEST(CompiledPlanFuzz, ScheduleAgreesWithLevelizer)
 
 TEST(GraphAnalysisFuzz, MatchesReferenceAlgorithm)
 {
-    // The production analysis (one-pass adjacency + in-degree
-    // countdown) against the original two-walk algorithm. Both
-    // production paths (interpreter and plan) share the new code, so
-    // only this reference diff would catch a layering regression.
+    // The levelizer oracle (one-pass adjacency + in-degree countdown)
+    // against the original two-walk algorithm. The interpreter oracle
+    // and ScheduleAgreesWithLevelizer both trust its layers, so only
+    // this reference diff would catch a layering regression in it.
     constexpr int kGenomes = 400;
     for (int i = 0; i < kGenomes; ++i) {
         XorWow rng(deriveSeed(kFuzzBase ^ 0x5151, static_cast<uint64_t>(i)));
@@ -336,10 +350,12 @@ TEST(CompiledPlan, EvaluatesHandGenomeExactly)
     NeatConfig cfg;
     cfg.numInputs = 2;
     cfg.numOutputs = 1;
-    const auto plan = CompiledPlan::compile(handGenome(), cfg);
-    const auto out = plan.activate({1.0, 2.0});
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_DOUBLE_EQ(out[0], 0.5 * (2.0 + 6.0) - 2.0);
+    const auto plan = CompiledPlan::compileFor(handGenome(), cfg);
+    PlanScratch scratch;
+    plan.reset(scratch);
+    plan.activate({1.0, 2.0}, scratch);
+    ASSERT_EQ(scratch.outputs.size(), 1u);
+    EXPECT_DOUBLE_EQ(scratch.outputs[0], 0.5 * (2.0 + 6.0) - 2.0);
     EXPECT_EQ(plan.macsPerInference(), 4);
     EXPECT_EQ(plan.numNodes(), 2);
     EXPECT_EQ(plan.numSlots(), 4);
@@ -358,23 +374,28 @@ TEST(CompiledPlan, ScratchIsReusableAcrossPlans)
     NeatConfig small;
     small.numInputs = 2;
     small.numOutputs = 1;
-    const auto plan_small = CompiledPlan::compile(handGenome(), small);
+    const auto plan_small = CompiledPlan::compileFor(handGenome(), small);
 
     XorWow rng(deriveSeed(kFuzzBase, 77));
     const NeatConfig big = fuzzConfig(rng, false);
     const Genome g = fuzzGenome(big, rng, false);
-    const auto plan_big = CompiledPlan::compile(g, big);
+    const auto plan_big = CompiledPlan::compileFor(g, big);
 
     PlanScratch shared;
     std::vector<double> big_in(static_cast<size_t>(big.numInputs), 0.25);
     plan_big.activate(big_in, shared);
-    const auto fresh_big = plan_big.activate(big_in);
+    PlanScratch fresh_big;
+    plan_big.reset(fresh_big);
+    plan_big.activate(big_in, fresh_big);
     plan_small.activate({1.0, 2.0}, shared);
     const auto small_out = shared.outputs;
     plan_big.activate(big_in, shared);
 
-    EXPECT_EQ(small_out, plan_small.activate({1.0, 2.0}));
-    EXPECT_EQ(shared.outputs, fresh_big);
+    PlanScratch fresh_small;
+    plan_small.reset(fresh_small);
+    plan_small.activate({1.0, 2.0}, fresh_small);
+    EXPECT_EQ(small_out, fresh_small.outputs);
+    EXPECT_EQ(shared.outputs, fresh_big.outputs);
 }
 
 TEST(CompiledPlan, CompileScratchReuseIsBitIdentical)
@@ -392,8 +413,9 @@ TEST(CompiledPlan, CompileScratchReuseIsBitIdentical)
         const Genome g = fuzzGenome(cfg, rng, allow_cycles);
         SCOPED_TRACE("scratch genome " + std::to_string(i));
 
-        const auto fresh = CompiledPlan::compile(g, cfg);
-        const auto reused = CompiledPlan::compile(g, cfg, shared);
+        const NeatConfig ff_cfg = feedForwardOf(cfg);
+        const auto fresh = CompiledPlan::compileFor(g, ff_cfg);
+        const auto reused = CompiledPlan::compileFor(g, ff_cfg, shared);
 
         ASSERT_EQ(reused.numSlots(), fresh.numSlots());
         ASSERT_EQ(reused.numNodes(), fresh.numNodes());
@@ -431,7 +453,7 @@ TEST(CompiledPlanBatch, FeedForwardLanesMatchOneLaneWithMasks)
         const Genome g = fuzzGenome(cfg, rng, allow_cycles);
         SCOPED_TRACE("batch genome " + std::to_string(i));
 
-        const auto plan = CompiledPlan::compile(g, cfg);
+        const auto plan = CompiledPlan::compileFor(g, feedForwardOf(cfg));
         ASSERT_FALSE(plan.isRecurrent());
         const auto net = FeedForwardNetwork::create(g, cfg);
 
@@ -483,7 +505,7 @@ TEST(CompiledPlan, WrongInputCountThrows)
     NeatConfig cfg;
     cfg.numInputs = 2;
     cfg.numOutputs = 1;
-    const auto plan = CompiledPlan::compile(handGenome(), cfg);
+    const auto plan = CompiledPlan::compileFor(handGenome(), cfg);
     PlanScratch scratch;
     EXPECT_ANY_THROW(plan.activate({1.0}, scratch));
 }
@@ -506,8 +528,10 @@ TEST(CompiledPlan, UnreachableOutputReadsZero)
     c.weight = 1.0;
     g.mutableConnections().emplace(c.key, c);
 
-    const auto plan = CompiledPlan::compile(g, cfg);
-    const auto out = plan.activate({3.0});
-    EXPECT_DOUBLE_EQ(out[0], 3.0);
-    EXPECT_DOUBLE_EQ(out[1], 0.0);
+    const auto plan = CompiledPlan::compileFor(g, cfg);
+    PlanScratch scratch;
+    plan.reset(scratch);
+    plan.activate({3.0}, scratch);
+    EXPECT_DOUBLE_EQ(scratch.outputs[0], 3.0);
+    EXPECT_DOUBLE_EQ(scratch.outputs[1], 0.0);
 }

@@ -9,8 +9,8 @@
 
 #include <cmath>
 
-#include "nn/levelize.hh"
 #include "support/feedforward.hh"
+#include "support/genome_analysis.hh"
 
 using namespace genesys;
 using namespace genesys::neat;
@@ -73,7 +73,7 @@ TEST(RequiredForOutput, PrunesDeadBranches)
     c.enabled = true;
     g.mutableConnections().emplace(c.key, c);
 
-    const auto req = requiredForOutput(g, cfg);
+    const auto req = analyzeGenome(g, cfg).required;
     EXPECT_TRUE(req.count(0));
     EXPECT_TRUE(req.count(1));
     EXPECT_FALSE(req.count(2));
@@ -85,7 +85,7 @@ TEST(RequiredForOutput, DisabledConnectionsDoNotCount)
     auto g = handGenome(cfg);
     // Disable the only edge out of node 1 -> node 1 not required.
     g.mutableConnections().at({1, 0}).enabled = false;
-    const auto req = requiredForOutput(g, cfg);
+    const auto req = analyzeGenome(g, cfg).required;
     EXPECT_FALSE(req.count(1));
 }
 
@@ -93,7 +93,7 @@ TEST(FeedForwardLayers, TwoLayerStructure)
 {
     const auto cfg = netConfig();
     const auto g = handGenome(cfg);
-    const auto layers = feedForwardLayers(g, cfg);
+    const auto layers = analyzeGenome(g, cfg).layers;
     ASSERT_EQ(layers.size(), 2u);
     EXPECT_EQ(layers[0], std::vector<int>{1});
     EXPECT_EQ(layers[1], std::vector<int>{0});
@@ -105,7 +105,7 @@ TEST(FeedForwardLayers, DirectOnlyIsSingleLayer)
     NodeIndexer idx(cfg.numOutputs);
     XorWow rng(1);
     const auto g = Genome::createNew(0, cfg, idx, rng);
-    const auto layers = feedForwardLayers(g, cfg);
+    const auto layers = analyzeGenome(g, cfg).layers;
     ASSERT_EQ(layers.size(), 1u);
     EXPECT_EQ(layers[0], std::vector<int>{0});
 }
@@ -263,9 +263,6 @@ TEST(FeedForwardLayers, PinnedDiamondWithSkipsAndDeadBranches)
     EXPECT_EQ(unblocked.layers, expect2);
     EXPECT_EQ(unblocked.required, (std::set<int>{0, 1, 2, 3}));
 
-    // The wrappers agree with the combined analysis.
-    EXPECT_EQ(feedForwardLayers(g, cfg), unblocked.layers);
-    EXPECT_EQ(requiredForOutput(g, cfg), unblocked.required);
 }
 
 TEST(FeedForwardLayers, ZeroInEdgeNodesNeverLayered)

@@ -528,31 +528,39 @@ TEST(FlatGenome, SparseNodeKeysCompileThroughTheBinarySearchPath)
     sparse.validate(cfg);
     dense.validate(cfg);
 
+    // The same genomes lowered recurrently: the single-wave case of
+    // the same lowering, through the same key lookups.
+    NeatConfig rcfg = cfg;
+    rcfg.feedForward = false;
+
     nn::CompileScratch scratch;
     for (const auto tier :
          {nn::NumericsTier::Reference, nn::NumericsTier::HwFaithful}) {
-        const auto ff = nn::CompiledPlan::compile(sparse, cfg, scratch, tier);
+        const auto ff =
+            nn::CompiledPlan::compileFor(sparse, cfg, scratch, tier);
         ASSERT_TRUE(scratch.keyToIndex.empty())
             << "sparse genome took the direct-address table";
         const auto ff_dense =
-            nn::CompiledPlan::compile(dense, cfg, scratch, tier);
+            nn::CompiledPlan::compileFor(dense, cfg, scratch, tier);
         ASSERT_FALSE(scratch.keyToIndex.empty())
             << "renumbered genome missed the direct-address table";
         expectSameOutputs(ff, ff_dense, cfg.numInputs, 7, 16);
 
         const auto rec =
-            nn::CompiledPlan::compileRecurrent(sparse, cfg, scratch, tier);
+            nn::CompiledPlan::compileFor(sparse, rcfg, scratch, tier);
         ASSERT_TRUE(scratch.keyToIndex.empty());
         const auto rec_dense =
-            nn::CompiledPlan::compileRecurrent(dense, cfg, scratch, tier);
+            nn::CompiledPlan::compileFor(dense, rcfg, scratch, tier);
         expectSameOutputs(rec, rec_dense, cfg.numInputs, 8, 16);
     }
 
     XorWow rng(9);
     const auto net = nn::FeedForwardNetwork::create(sparse, cfg);
-    const auto plan = nn::CompiledPlan::compile(sparse, cfg);
-    auto rnet = nn::RecurrentNetwork::create(sparse, cfg);
-    const auto rplan = nn::CompiledPlan::compileRecurrent(sparse, cfg);
+    const auto plan = nn::CompiledPlan::compileFor(sparse, cfg);
+    auto rnet = nn::RecurrentNetwork::create(sparse, rcfg);
+    const auto rplan = nn::CompiledPlan::compileFor(sparse, rcfg);
+    nn::PlanScratch s;
+    plan.reset(s);
     nn::PlanScratch rs;
     rplan.reset(rs);
     for (int t = 0; t < 16; ++t) {
@@ -560,7 +568,8 @@ TEST(FlatGenome, SparseNodeKeysCompileThroughTheBinarySearchPath)
                                      rng.uniform(-2.0, 2.0),
                                      rng.uniform(-2.0, 2.0)};
         const auto expect = net.activate(in);
-        const auto got = plan.activate(in);
+        plan.activate(in, s);
+        const auto &got = s.outputs;
         ASSERT_EQ(got.size(), expect.size());
         for (size_t o = 0; o < expect.size(); ++o)
             EXPECT_EQ(std::bit_cast<uint64_t>(got[o]),

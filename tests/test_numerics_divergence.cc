@@ -126,9 +126,9 @@ checkFeedForwardGenome(const NeatConfig &cfg, const Genome &g,
                        uint64_t seed, double bound,
                        double *max_seen = nullptr)
 {
-    const auto ref = nn::CompiledPlan::compile(g, cfg);
+    const auto ref = nn::CompiledPlan::compileFor(g, cfg);
     const auto hw =
-        nn::CompiledPlan::compile(g, cfg, nn::NumericsTier::HwFaithful);
+        nn::CompiledPlan::compileFor(g, cfg, nn::NumericsTier::HwFaithful);
     ASSERT_EQ(hw.numericsTier(), nn::NumericsTier::HwFaithful);
     ASSERT_EQ(ref.numericsTier(), nn::NumericsTier::Reference);
 
@@ -200,7 +200,7 @@ TEST(NumericsDivergence, RecurrentHwBitIdenticalSerialVsBatch)
     const auto cfg = planConfig(6, 3, false);
     for (uint64_t seed = 1; seed <= 6; ++seed) {
         const auto g = grownGenome(cfg, 20, seed);
-        const auto hw = nn::CompiledPlan::compileRecurrent(
+        const auto hw = nn::CompiledPlan::compileFor(
             g, cfg, nn::NumericsTier::HwFaithful);
 
         constexpr int kLanes = 4;
@@ -250,7 +250,7 @@ TEST(NumericsDivergence, HwAttributesLandOnQuantizedGrid)
     const FixedPointCodec codec(nn::kHwIntBits, nn::kHwFracBits);
     const auto g = grownGenome(cfg, 25, 7);
     const auto hw =
-        nn::CompiledPlan::compile(g, cfg, nn::NumericsTier::HwFaithful);
+        nn::CompiledPlan::compileFor(g, cfg, nn::NumericsTier::HwFaithful);
     XorWow rng(99);
     nn::PlanScratch s;
     for (int t = 0; t < 32; ++t) {

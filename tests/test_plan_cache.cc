@@ -83,7 +83,7 @@ TEST(PlanCacheTest, BeginGenerationDropsEveryPlan)
     cache.acquire(1, genomes[1], cfg);
     ASSERT_EQ(cache.size(), 2u);
 
-    cache.beginGeneration();
+    cache.beginGeneration({});
     EXPECT_EQ(cache.size(), 0u);
     // Same key again is a fresh compile, not a stale hit.
     cache.acquire(0, genomes[0], cfg);
@@ -98,9 +98,13 @@ TEST(PlanCacheTest, PlanOutlivesCacheEviction)
     const auto [cfg, genomes] = makeGenomes(1, 47);
     PlanCache cache;
     const auto plan = cache.acquire(0, genomes[0], cfg);
-    const auto expect = plan->activate({0.1, 0.2, 0.3, 0.4});
-    cache.beginGeneration();
-    EXPECT_EQ(plan->activate({0.1, 0.2, 0.3, 0.4}), expect);
+    PlanScratch scratch;
+    plan->reset(scratch);
+    plan->activate({0.1, 0.2, 0.3, 0.4}, scratch);
+    const auto expect = scratch.outputs;
+    cache.beginGeneration({});
+    plan->activate({0.1, 0.2, 0.3, 0.4}, scratch);
+    EXPECT_EQ(scratch.outputs, expect);
 }
 
 TEST(PlanCacheTest, BeginGenerationCarriesOverSurvivingKeys)

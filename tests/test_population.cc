@@ -42,7 +42,7 @@ xorFitness(const Genome &g, const NeatConfig &cfg)
 {
     static const double xs[4][2] = {{0, 0}, {0, 1}, {1, 0}, {1, 1}};
     static const double ys[4] = {0, 1, 1, 0};
-    const auto plan = nn::CompiledPlan::compile(g, cfg);
+    const auto plan = nn::CompiledPlan::compileFor(g, cfg);
     nn::PlanScratch scratch;
     double fitness = 4.0;
     for (int i = 0; i < 4; ++i) {
@@ -99,7 +99,7 @@ TEST(Population, SolvesXor)
             EXPECT_GE(result.bestFitness, 3.9);
             // The solution must actually compute XOR.
             const auto plan =
-                nn::CompiledPlan::compile(result.bestGenome, cfg);
+                nn::CompiledPlan::compileFor(result.bestGenome, cfg);
             nn::PlanScratch scratch;
             auto out = [&](double a, double b) {
                 plan.activate({a, b}, scratch);

@@ -2,7 +2,8 @@
  * @file
  * Differential test harness for recurrent compiled plans.
  *
- * nn::CompiledPlan::compileRecurrent must be bit-identical to the
+ * nn::CompiledPlan::compileFor on a recurrent config
+ * (NeatConfig::feedForward == false) must be bit-identical to the
  * nn::RecurrentNetwork interpreter — across ticks, across reset(),
  * and across batched lanes — because the engine's cross-thread and
  * lane-width determinism contracts are built on exact
@@ -20,6 +21,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <set>
 #include <string>
 
 #include "common/rng.hh"
@@ -161,7 +163,7 @@ TEST(RecurrentPlanFuzz, MatchesInterpreterAcrossTicksAndReset)
 
         auto net = RecurrentNetwork::create(g, cfg);
         const auto plan =
-            CompiledPlan::compileRecurrent(g, cfg, compile_scratch);
+            CompiledPlan::compileFor(g, cfg, compile_scratch);
 
         ASSERT_TRUE(plan.isRecurrent());
         ASSERT_EQ(plan.numInputs(), net.numInputs());
@@ -215,7 +217,7 @@ TEST(RecurrentPlanFuzz, MacCountsAgreeAcrossAllPaths)
         SCOPED_TRACE("mac genome " + std::to_string(i));
 
         const auto net = RecurrentNetwork::create(g, cfg);
-        const auto plan = CompiledPlan::compileRecurrent(g, cfg);
+        const auto plan = CompiledPlan::compileFor(g, cfg);
 
         EXPECT_EQ(plan.macsPerInference(), net.macsPerInference());
         EXPECT_EQ(plan.schedule().totalMacs(), plan.macsPerInference());
@@ -226,6 +228,16 @@ TEST(RecurrentPlanFuzz, MacCountsAgreeAcrossAllPaths)
             EXPECT_EQ(plan.schedule().layers[0].numNodes,
                       static_cast<int>(g.nodes().size()));
             EXPECT_EQ(plan.layerSpans().size(), 1u);
+            // The packed vector length K: every distinct source key
+            // over the enabled connections into node genes, counted
+            // straight from the genome.
+            std::set<int> sources;
+            for (const auto &[ck, cg] : g.connections()) {
+                if (cg.enabled && g.nodes().contains(ck.second))
+                    sources.insert(ck.first);
+            }
+            EXPECT_EQ(plan.schedule().layers[0].vectorLen,
+                      static_cast<int>(sources.size()));
         }
     }
 }
@@ -245,7 +257,7 @@ TEST(RecurrentPlanFuzz, BatchedLanesMatchSerialWithMasks)
         const Genome g = fuzzGenome(cfg, rng);
         SCOPED_TRACE("batch genome " + std::to_string(i));
 
-        const auto plan = CompiledPlan::compileRecurrent(g, cfg);
+        const auto plan = CompiledPlan::compileFor(g, cfg);
 
         // Lane l retires after kTicks - l ticks.
         std::vector<std::vector<std::vector<double>>> streams(kLanes);
@@ -340,7 +352,7 @@ TEST(RecurrentPlan, SelfLoopIntegratesInput)
 {
     const auto cfg = recConfig();
     const auto plan =
-        CompiledPlan::compileRecurrent(selfLoopGenome(1.0, 1.0), cfg);
+        CompiledPlan::compileFor(selfLoopGenome(1.0, 1.0), cfg);
     PlanScratch s;
     plan.reset(s);
     // y[t] = y[t-1] + x[t] -> a running sum.
@@ -370,14 +382,17 @@ TEST(RecurrentPlan, CompileForDispatchesOnConfigMode)
     // Feed-forward lowering of a cyclic genome: the cycle never
     // becomes ready, the output reads 0 (documented fallback
     // semantics, unchanged).
-    EXPECT_DOUBLE_EQ(ff.activate({1.0})[0], 0.0);
+    PlanScratch s;
+    ff.reset(s);
+    ff.activate({1.0}, s);
+    EXPECT_DOUBLE_EQ(s.outputs[0], 0.0);
 }
 
 TEST(RecurrentPlan, TickWithoutResetPanics)
 {
     const auto cfg = recConfig();
     const auto plan =
-        CompiledPlan::compileRecurrent(selfLoopGenome(1.0, 1.0), cfg);
+        CompiledPlan::compileFor(selfLoopGenome(1.0, 1.0), cfg);
     PlanScratch s;
     // Ticking without reset is a contract violation, not silent UB.
     EXPECT_ANY_THROW(plan.activate({1.0}, s));

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "core/genesys.hh"
 #include "hw/gene_encoding.hh"
@@ -463,6 +464,55 @@ TEST_F(SnapshotCorruptionTest, FailedResumeLeavesSystemUntouched)
     }
     EXPECT_EQ(digestReports(victim.reports()),
               digestReports(control.reports()));
+}
+
+TEST(SnapshotResume, RejectsStructurallyInvalidGenome)
+{
+    // A snapshot whose digest is valid but whose genome has no output
+    // node gene must be refused at resume, naming the genome, rather
+    // than loading cleanly and panicking at the first plan compile.
+    // The refused System keeps running as if the attempt never
+    // happened.
+    const fs::path dir = scratchDir("invalid-genome");
+    const core::SystemConfig cfg = smallSystemConfig();
+    {
+        core::SystemConfig ckpt = cfg;
+        ckpt.checkpointDir = dir.string();
+        core::System sys(ckpt);
+        ASSERT_FALSE(sys.stepGeneration());
+    }
+    persist::SystemSnapshot snap = persist::readSnapshotFile(
+        (dir / persist::snapshotFileName(1)).string());
+    ASSERT_FALSE(snap.population.genomes.empty());
+    auto &[key, genome] = *snap.population.genomes.begin();
+    ASSERT_TRUE(genome.nodes().contains(0));
+    genome.mutableNodes().erase(0);
+    const std::string bad = (dir / "no-output-gene.gsnap").string();
+    persist::writeSnapshotFile(snap, bad);
+
+    core::System control(cfg);
+    core::System victim(cfg);
+    ASSERT_FALSE(control.stepGeneration());
+    ASSERT_FALSE(victim.stepGeneration());
+    try {
+        victim.resumeFrom(bad);
+        FAIL() << "genome without an output node gene accepted";
+    } catch (const persist::SnapshotError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("genome (key " + std::to_string(key) + ")"),
+                  std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("output node 0 missing"), std::string::npos)
+            << msg;
+    }
+
+    for (int i = 0; i < 2; ++i) {
+        control.stepGeneration();
+        victim.stepGeneration();
+    }
+    EXPECT_EQ(digestReports(victim.reports()),
+              digestReports(control.reports()));
+    fs::remove_all(dir);
 }
 
 // --- provenance validation ---------------------------------------------------
